@@ -18,9 +18,10 @@ type frontend struct {
 	prog  *isa.Program
 	meta  []staticMeta    // per-static-instruction decode metadata
 	trace []traceEntry    // shared dynamic stream (nil: use the interpreter)
+	miss  []uint64        // the trace's mispredict bitmap for this config
 	tpos  int             // next trace entry to fetch
 	m     *interp.Machine // live fallback for non-halting programs
-	pred  bpred.Predictor
+	pred  bpred.Predictor // the fallback's predictor
 
 	queue    dynRing // fetched, awaiting dispatch
 	queueCap int
@@ -54,20 +55,22 @@ func newPredictor(cfg *Config) bpred.Predictor {
 }
 
 func newFrontend(p *isa.Program, cfg *Config) *frontend {
+	rp := replayOf(p)
 	fe := &frontend{
 		prog: p,
-		meta: programMeta(p),
-		pred: newPredictor(cfg),
+		meta: rp.staticMeta(),
 		// The fetch-to-dispatch buffer must cover the front end's
 		// bandwidth-delay product (instructions are in flight for
 		// FrontDepth cycles before dispatch) or it, rather than the
 		// modeled resources, becomes the IPC ceiling.
 		queueCap: cfg.FetchWidth * (cfg.FrontDepth + 4),
 	}
-	if tr := programTrace(p); tr != nil {
+	if tr := rp.dynTrace(); tr != nil {
 		fe.trace = tr
+		fe.miss = rp.mispredicts(cfg)
 	} else {
 		fe.m = interp.New(p)
+		fe.pred = newPredictor(cfg)
 	}
 	return fe
 }
@@ -111,8 +114,9 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 		}
 
 		var d *dyn
+		pos := fe.tpos
 		if fe.trace != nil {
-			e := &fe.trace[fe.tpos]
+			e := &fe.trace[pos]
 			fe.tpos++
 			d = fe.buildDyn(m, &fe.prog.Instrs[pc], pc, e.addr, e.taken, t)
 		} else {
@@ -136,9 +140,14 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 			branches++
 			if sm.isCondBranch {
 				m.stats.CondBranches++
-				predicted := fe.pred.Predict(addr, d.taken)
-				fe.pred.Train(addr, d.taken)
-				if predicted != d.taken {
+				var wrong bool
+				if fe.trace != nil {
+					wrong = mispredicted(fe.miss, pos)
+				} else {
+					wrong = fe.pred.Predict(addr, d.taken) != d.taken
+					fe.pred.Train(addr, d.taken)
+				}
+				if wrong {
 					d.mispredicted = true
 					m.stats.Mispredicts++
 					fe.stalledOn = d

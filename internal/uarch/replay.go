@@ -3,6 +3,7 @@ package uarch
 import (
 	"sync"
 
+	"braid/internal/bpred"
 	"braid/internal/interp"
 	"braid/internal/isa"
 )
@@ -20,7 +21,7 @@ type traceEntry struct {
 // traceCap bounds pre-execution so a non-halting program cannot hang trace
 // construction; such a program falls back to the live interpreter and runs
 // into the engine's MaxCycles budget as before.
-const traceCap = 1 << 26
+var traceCap = 1 << 26 // a variable only so tests can reach the cap cheaply
 
 // Source-operand kinds for staticMeta (where buildDyn finds each producer).
 const (
@@ -47,59 +48,169 @@ type staticMeta struct {
 	extDest, intDest       uint8 // valid when hasExtDest / hasIntDest
 }
 
-var replayCache struct {
-	sync.Mutex
-	m    map[*isa.Program][]traceEntry
-	meta map[*isa.Program][]staticMeta
+// predKey names a predictor geometry: the Config fields newPredictor reads.
+type predKey struct {
+	perfect          bool
+	entries, history int
 }
 
-// programTrace returns the program's dynamic instruction stream, computing
-// and caching it on first use. The simulator is functionally directed, so the
-// stream depends only on the program — every Machine simulating it under any
-// configuration replays one shared trace instead of re-executing the
-// interpreter. Returns nil (cached) if the program does not halt within
-// traceCap steps.
-func programTrace(p *isa.Program) []traceEntry {
+// replayEntry is one program's configuration-independent replay state. Each
+// part is built at most once, on first use, under its own sync.Once, so
+// workers preparing different programs never wait on each other and workers
+// sharing a program wait only for the part they need.
+type replayEntry struct {
+	prog *isa.Program
+
+	metaOnce  sync.Once
+	meta      []staticMeta
+	traceOnce sync.Once
+	trace     []traceEntry
+
+	mu       sync.Mutex
+	outcomes map[predKey]*outcomeBits
+}
+
+// outcomeBits is the mispredict bitmap of one predictor geometry over the
+// program's trace: bit i is set when the conditional branch at trace
+// position i mispredicts.
+type outcomeBits struct {
+	once sync.Once
+	bits []uint64
+}
+
+var replayCache struct {
+	sync.Mutex
+	m map[*isa.Program]*replayEntry
+}
+
+// replayOf returns p's cache entry, creating an empty one on first use. The
+// cache-wide lock covers only the map; building happens in the entry.
+func replayOf(p *isa.Program) *replayEntry {
 	replayCache.Lock()
 	defer replayCache.Unlock()
-	if tr, ok := replayCache.m[p]; ok {
-		return tr
+	e := replayCache.m[p]
+	if e == nil {
+		if replayCache.m == nil {
+			replayCache.m = make(map[*isa.Program]*replayEntry)
+		}
+		e = &replayEntry{prog: p}
+		replayCache.m[p] = e
 	}
-	if replayCache.m == nil {
-		replayCache.m = make(map[*isa.Program][]traceEntry)
+	return e
+}
+
+// staticMeta returns the program's precomputed static metadata (shared by
+// every Machine simulating it).
+func (e *replayEntry) staticMeta() []staticMeta {
+	e.metaOnce.Do(func() { e.meta = programMeta(e.prog) })
+	return e.meta
+}
+
+// dynTrace returns the program's dynamic instruction stream. The simulator
+// is functionally directed, so the stream depends only on the program —
+// every Machine simulating it under any configuration replays one shared
+// trace instead of re-executing the interpreter. Nil if the program does
+// not halt within traceCap steps.
+func (e *replayEntry) dynTrace() []traceEntry {
+	e.traceOnce.Do(func() { e.trace = programTrace(e.prog) })
+	return e.trace
+}
+
+// mispredicts returns the mispredict bitmap for cfg's predictor geometry,
+// or nil when the program has no trace. Fetch never leaves the correct
+// path and trains the predictor once per conditional branch in trace
+// order, so whether a dynamic branch mispredicts depends only on the
+// program and the geometry — not on the core, the width, or the sampling
+// geometry — and one predict-then-train pass decides it for every
+// configuration.
+func (e *replayEntry) mispredicts(cfg *Config) []uint64 {
+	tr := e.dynTrace()
+	if tr == nil {
+		return nil
 	}
+	k := predKey{cfg.PerfectBP, cfg.PredEntries, cfg.PredHistory}
+	e.mu.Lock()
+	ob := e.outcomes[k]
+	if ob == nil {
+		if e.outcomes == nil {
+			e.outcomes = make(map[predKey]*outcomeBits)
+		}
+		ob = &outcomeBits{}
+		e.outcomes[k] = ob
+	}
+	e.mu.Unlock()
+	ob.once.Do(func() { ob.bits = branchOutcomes(tr, e.staticMeta(), newPredictor(cfg)) })
+	return ob.bits
+}
+
+// branchOutcomes replays tr's conditional branches through a cold
+// predictor, predict then train, exactly as fetch would.
+func branchOutcomes(tr []traceEntry, meta []staticMeta, pred bpred.Predictor) []uint64 {
+	bits := make([]uint64, (len(tr)+63)/64)
+	for i := range tr {
+		e := &tr[i]
+		if !meta[e.idx].isCondBranch {
+			continue
+		}
+		addr := instrAddr(int(e.idx))
+		if pred.Predict(addr, e.taken) != e.taken {
+			bits[i>>6] |= 1 << (i & 63)
+		}
+		pred.Train(addr, e.taken)
+	}
+	return bits
+}
+
+// mispredicted reports bit pos of a mispredict bitmap.
+func mispredicted(bits []uint64, pos int) bool {
+	return bits[pos>>6]>>(pos&63)&1 != 0
+}
+
+// traceChunk is the trace build's append unit in entries (1 MiB). Full
+// chunks are copied once into an exact-size trace; growing one slice by
+// doubling would re-copy a multi-megabyte trace at every step.
+const traceChunk = 1 << 16
+
+// programTrace interprets p into its dynamic instruction stream. Returns
+// nil if the program does not halt within traceCap steps. The result has
+// len == cap.
+func programTrace(p *isa.Program) []traceEntry {
 	im := interp.New(p)
-	var tr []traceEntry
-	var info interp.StepInfo
+	var (
+		full [][]traceEntry
+		cur  []traceEntry // grows by append up to traceChunk, so small traces stay small
+		n    int
+		info interp.StepInfo
+	)
 	for {
-		if len(tr) >= traceCap {
-			tr = nil // non-halting: poison the cache entry
-			break
+		if n >= traceCap {
+			return nil // non-halting
 		}
 		if err := im.Step(&info); err != nil {
 			break // end of stream, exactly where live fetch stops
 		}
-		tr = append(tr, traceEntry{
+		if len(cur) == traceChunk {
+			full = append(full, cur)
+			cur = make([]traceEntry, 0, traceChunk)
+		}
+		cur = append(cur, traceEntry{
 			idx:   int32(info.Index),
 			taken: info.Taken,
 			addr:  info.Addr,
 		})
+		n++
 	}
-	replayCache.m[p] = tr
+	tr := make([]traceEntry, n)
+	off := 0
+	for _, c := range full {
+		off += copy(tr[off:], c)
+	}
+	copy(tr[off:], cur)
 	return tr
 }
 
-// programMeta returns the program's precomputed static metadata, computing
-// and caching it on first use (shared by every Machine simulating p).
+// programMeta derives the per-static-instruction metadata of p.
 func programMeta(p *isa.Program) []staticMeta {
-	replayCache.Lock()
-	defer replayCache.Unlock()
-	if sm, ok := replayCache.meta[p]; ok {
-		return sm
-	}
-	if replayCache.meta == nil {
-		replayCache.meta = make(map[*isa.Program][]staticMeta)
-	}
 	meta := make([]staticMeta, len(p.Instrs))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
@@ -142,6 +253,5 @@ func programMeta(p *isa.Program) []staticMeta {
 			sm.intDest = in.IDestIdx
 		}
 	}
-	replayCache.meta[p] = meta
 	return meta
 }

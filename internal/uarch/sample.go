@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"braid/internal/bpred"
 	"braid/internal/isa"
 	"braid/internal/mem"
 )
@@ -16,13 +15,13 @@ import (
 // Sampled simulation (SMARTS-style systematic interval sampling). The
 // simulator is functionally directed, so the dynamic instruction stream is a
 // precomputed trace shared by every configuration; sampling exploits that by
-// replaying most of the trace functionally — touching the instruction cache,
-// data cache, and branch predictor so their state stays warm, but building no
-// pipeline state — and running the detailed cycle-level engine only on
-// periodic measurement intervals. Architectural execution is exact either
-// way (same trace), so instruction counts and final architectural state are
-// identical to exact mode; only timing is estimated, with a confidence
-// interval derived from the per-interval CPI variance.
+// replaying most of the trace functionally — touching the instruction and
+// data caches so their state stays warm, but building no pipeline state —
+// and running the detailed cycle-level engine only on periodic measurement
+// intervals. Architectural execution is exact either way (same trace), so
+// instruction counts and final architectural state are identical to exact
+// mode; only timing is estimated, with a confidence interval derived from
+// the per-interval CPI variance.
 
 // Sampling configures interval sampling. Every Period instructions the
 // engine runs a detailed interval: Warmup instructions to rebuild pipeline
@@ -146,7 +145,7 @@ func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Samplin
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tr := programTrace(p)
+	tr := replayOf(p).dynTrace()
 	if tr == nil || uint64(len(tr)) <= sp.Period {
 		st, err := SimulateChecked(ctx, p, cfg)
 		if err != nil {
@@ -162,16 +161,17 @@ func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Samplin
 	return runSampled(ctx, p, cfg, sp, tr)
 }
 
-// warmer replays the trace functionally, keeping the structures with
-// long-lived state — instruction cache, data cache, branch predictor — warm
-// across fast-forwarded stretches. It mirrors the front end's access
-// pattern: one I-cache probe per line transition, predict-then-train per
-// conditional branch in fetch order (so its mispredict count equals exact
-// mode's), one D-cache touch per load or store.
+// warmer replays the trace functionally, keeping the caches — the
+// structures with long-lived state — warm across fast-forwarded stretches.
+// It mirrors the front end's access pattern: one I-cache probe per line
+// transition and one D-cache touch per load or store. Branch outcomes need
+// no warming: the program's mispredict bitmap already holds the outcome of
+// every conditional branch under a predictor trained in trace order, so the
+// warmer counts the set bits it passes and its total equals exact mode's.
 type warmer struct {
 	meta     []staticMeta
+	miss     []uint64
 	hier     *mem.Hierarchy
-	pred     bpred.Predictor
 	lastLine uint64
 	haveLine bool
 
@@ -181,7 +181,7 @@ type warmer struct {
 	stores       uint64
 }
 
-func (w *warmer) warm(e *traceEntry) {
+func (w *warmer) warm(e *traceEntry, pos uint64) {
 	addr := instrAddr(int(e.idx))
 	if line := addr >> 6; !w.haveLine || line != w.lastLine {
 		w.hier.AccessI(addr)
@@ -191,10 +191,9 @@ func (w *warmer) warm(e *traceEntry) {
 	switch {
 	case sm.isCondBranch:
 		w.condBranches++
-		if w.pred.Predict(addr, e.taken) != e.taken {
+		if mispredicted(w.miss, int(pos)) {
 			w.mispredicts++
 		}
-		w.pred.Train(addr, e.taken)
 	case sm.isLoad:
 		w.loads++
 		w.hier.AccessD(e.addr)
@@ -223,7 +222,8 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &warmer{meta: programMeta(p), hier: hier, pred: newPredictor(&cfg)}
+	rp := replayOf(p)
+	w := &warmer{meta: rp.staticMeta(), miss: rp.mispredicts(&cfg), hier: hier}
 
 	n := uint64(len(tr))
 	var (
@@ -245,10 +245,10 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 		}
 		if pos >= nextSample {
 			// Detailed interval. The machine shares the warmer's
-			// hierarchy and predictor, so its fetch IS the warming for
-			// the span it covers; the warmer resumes where fetch
-			// stopped, keeping the predictor's training sequence
-			// exactly the exact-mode sequence.
+			// hierarchy, so its fetch IS the warming for the span it
+			// covers, and reads the same mispredict bitmap; the warmer
+			// resumes where fetch stopped, so every trace position is
+			// counted exactly once.
 			c, u, endPos, ist, ierr := runInterval(ctx, p, cfg, int(pos), w, sp.Warmup, sp.Detail)
 			if ierr != nil {
 				return nil, nil, ierr
@@ -287,7 +287,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 				default:
 				}
 			}
-			w.warm(&tr[pos])
+			w.warm(&tr[pos], pos)
 		}
 	}
 	if sumU == 0 {
@@ -346,9 +346,9 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 }
 
 // runInterval runs one detailed measurement interval: a fresh machine is
-// built at trace position tpos directly on the warmer's hierarchy and
-// predictor (its fetch is the warming for the span it covers), simulated
-// through the warm-up, and measured for the detail window. It returns the
+// built at trace position tpos directly on the warmer's hierarchy (its
+// fetch is the warming for the span it covers), simulated through the
+// warm-up, and measured for the detail window. It returns the
 // measured cycles and instructions (zero if the program ended inside the
 // warm-up), the trace position fetch reached — where the warmer resumes —
 // and the machine's full interval stats for micro-counter scaling.
@@ -359,7 +359,6 @@ func runInterval(ctx context.Context, p *isa.Program, cfg Config, tpos int, w *w
 		return 0, 0, 0, nil, err
 	}
 	m.fe.tpos = tpos
-	m.fe.pred = w.pred
 
 	measureAt := warmup
 	stopAt := warmup + detail
