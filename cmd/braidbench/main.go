@@ -7,9 +7,13 @@
 // The runner is fault tolerant: a simulator panic or cycle-budget blowout on
 // one design point is contained (reported to stderr, with a crash artifact
 // under -crashdir), and the sweep continues. -checkpoint appends every
-// completed simulation to a JSONL file; after Ctrl-C or a crash, rerunning
-// with -resume replays the finished points and produces bit-identical output
-// without re-simulating them.
+// completed simulation to a JSONL file under its point key (program image,
+// config, sampling geometry and simulator model version); after Ctrl-C or a
+// crash, rerunning with -resume replays the finished points and produces
+// bit-identical output without re-simulating them. A record only answers the
+// exact point it was computed for: resuming at another -dyn or -sample, or
+// under another simulator version, re-simulates, and a checkpoint in the
+// older bench-name format is refused.
 //
 // -remote host1,host2 runs the simulations on a fleet of braidd backends
 // instead of in-process, routing each design point by its content key on a

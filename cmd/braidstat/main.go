@@ -25,8 +25,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -43,6 +41,7 @@ import (
 	"braid/internal/cfg"
 	"braid/internal/interp"
 	"braid/internal/isa"
+	"braid/internal/jsonl"
 	"braid/internal/remote"
 	"braid/internal/uarch"
 	"braid/internal/workload"
@@ -154,7 +153,8 @@ type simFunc func(p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.Sample
 // the -ipc report section; records written without it resume only runs that
 // also omit it (remote vs local does not matter — the section is identical).
 // Sampling records the -sample geometry, so exact and sampled runs never
-// resume each other's reports.
+// resume each other's reports, and Model the uarch.ModelVersion, so reports
+// from another timing model are recomputed.
 type statRecord struct {
 	Name       string `json:"name"`
 	Iters      int    `json:"iters"`
@@ -162,6 +162,7 @@ type statRecord struct {
 	IPC        bool   `json:"ipc,omitempty"`
 	Sampling   string `json:"sampling,omitempty"`
 	Complexity bool   `json:"complexity,omitempty"`
+	Model      int    `json:"model"`
 	Report     string `json:"report"`
 }
 
@@ -169,34 +170,22 @@ type statRecord struct {
 // name, skipping records whose parameters do not match. A torn final line —
 // a crash mid-append — is ignored.
 func loadStatCheckpoint(path string, iters int, valuesOnly, ipc bool, sampling string, complexity bool) (map[string]string, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]string{}, nil
-	}
-	if err != nil {
+	data, err := os.ReadFile(path) // a missing file resumes nothing
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	done := map[string]string{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	tail := bytes.TrimRight(data, " \t\r\n")
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var rec statRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			if bytes.HasSuffix(tail, raw) {
-				break // torn final line from an interrupted append
-			}
-			return nil, fmt.Errorf("braidstat: corrupt checkpoint %s: %w", path, err)
-		}
-		if rec.Iters == iters && rec.ValuesOnly == valuesOnly && rec.IPC == ipc && rec.Sampling == sampling && rec.Complexity == complexity {
+	err = jsonl.Each(data, func(rec statRecord) error {
+		if rec.Iters == iters && rec.ValuesOnly == valuesOnly && rec.IPC == ipc && rec.Sampling == sampling &&
+			rec.Complexity == complexity && rec.Model == uarch.ModelVersion {
 			done[rec.Name] = rec.Report
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("braidstat: corrupt checkpoint %s: %w", path, err)
 	}
-	return done, sc.Err()
+	return done, nil
 }
 
 // characterizeSuite runs every profile through a bounded worker pool and
@@ -261,7 +250,7 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 				}
 				reports[i], errs[i] = reportChecked(p, valuesOnly, sim, complexity)
 				if errs[i] == nil && ckpt != nil {
-					rec := statRecord{Name: profs[i].Name, Iters: iters, ValuesOnly: valuesOnly, IPC: sim != nil, Sampling: sampStr, Complexity: complexity, Report: reports[i]}
+					rec := statRecord{Name: profs[i].Name, Iters: iters, ValuesOnly: valuesOnly, IPC: sim != nil, Sampling: sampStr, Complexity: complexity, Model: uarch.ModelVersion, Report: reports[i]}
 					if data, err := json.Marshal(&rec); err == nil {
 						ckptMu.Lock()
 						ckpt.Write(append(data, '\n')) // one write: a crash tears at most the last line

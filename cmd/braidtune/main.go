@@ -265,6 +265,7 @@ func writeFront(w *experiments.Workloads, benches []*experiments.Bench, res *exp
 	ff := frontFile{
 		Meta: explore.Meta{
 			Lattice: explore.LatticeVersion,
+			Model:   uarch.ModelVersion,
 			Seed:    seed, Pop: pop, Budget: budget,
 			Workloads: names, Sampling: samplingKey(sampling), DynTarget: dyn,
 		},

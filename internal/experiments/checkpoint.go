@@ -1,35 +1,30 @@
 package experiments
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
-	"braid/internal/uarch"
+	"braid/internal/jsonl"
 )
 
-// checkpointWriter is the sink completed points are appended to.
-type checkpointWriter = *os.File
-
 // ckptRecord is one completed simulation in the append-only JSONL
-// checkpoint: the memo key plus its result. Go's JSON encoding round-trips
-// float64 and every Config field exactly, so a resumed point is bit-identical
-// to rerunning it (the simulator is deterministic). Only successes are
-// persisted — failures must re-execute so a fixed environment can pass.
+// checkpoint: its point key (uarch.PointKey) and its result, so a record is
+// only ever replayed for the exact point it was computed for, bit-identical
+// to rerunning it. Only successes are persisted — failures must re-execute
+// so a fixed environment can pass.
 type ckptRecord struct {
-	Bench   string       `json:"bench"`
-	Braided bool         `json:"braided"`
-	IPC     float64      `json:"ipc"`
-	Cfg     uarch.Config `json:"cfg"`
-	// Sampling marks interval-sampled points; absent (nil) means exact.
-	// Sampled and exact records restore into disjoint memo keyspaces.
-	Sampling *uarch.Sampling `json:"sampling,omitempty"`
+	Key string  `json:"key"`
+	IPC float64 `json:"ipc"`
 	// CI is the sampled estimate's relative 95% confidence half-width on
 	// IPC; omitted for exact points.
 	CI float64 `json:"ipc_rel_ci95,omitempty"`
 }
+
+// errOldCheckpoint refuses a checkpoint written before records carried a
+// point key: its records cannot say which program or model they belong to.
+var errOldCheckpoint = errors.New("old checkpoint format: delete it or run without -resume")
 
 // ckptDone is the shared pre-closed latch for restored memo cells.
 var ckptDone = func() chan struct{} {
@@ -52,18 +47,12 @@ func (w *Workloads) OpenCheckpoint(path string, resume bool) (int, error) {
 	}
 	restored := 0
 	if resume {
-		data, err := os.ReadFile(path)
-		switch {
-		case os.IsNotExist(err):
-			// Nothing to resume from; fresh start.
-		case err != nil:
+		data, err := os.ReadFile(path) // a missing file resumes nothing
+		if err != nil && !os.IsNotExist(err) {
 			return 0, err
-		default:
-			n, err := w.loadCheckpoint(data)
-			if err != nil {
-				return 0, fmt.Errorf("experiments: resuming %s: %w", path, err)
-			}
-			restored = n
+		}
+		if restored, err = w.loadCheckpoint(data); err != nil {
+			return 0, fmt.Errorf("experiments: resuming %s: %w", path, err)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -90,72 +79,35 @@ func (w *Workloads) CloseCheckpoint() error {
 // cells, deduplicating repeated keys with last-write-wins: a kill → resume →
 // kill → resume cycle (or an explicit Retry) re-appends keys the file already
 // holds, and the newest record is the authoritative one. The restored count
-// is unique keys, not lines.
+// is unique keys, not lines. A record whose key no request asks for — another
+// program, config, geometry or model — is loaded but never served.
 func (w *Workloads) loadCheckpoint(data []byte) (int, error) {
 	restored := 0
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
+	err := jsonl.Each(data, func(rec ckptRecord) error {
+		if rec.Key == "" {
+			return errOldCheckpoint
 		}
-		var rec ckptRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A torn tail from a crash mid-append is expected; anything
-			// before the last line is real corruption.
-			if isLastLine(data, raw) {
-				break
-			}
-			return restored, fmt.Errorf("line %d: %w", line, err)
-		}
-		var sp uarch.Sampling
-		if rec.Sampling != nil {
-			sp = *rec.Sampling
-		}
-		key := memoKey{rec.Bench, rec.Braided, rec.Cfg, sp}
 		w.mu.Lock()
-		if _, ok := w.memo[key]; !ok {
+		if _, ok := w.memo[rec.Key]; !ok {
 			restored++
 		}
-		w.memo[key] = &memoCell{done: ckptDone, ipc: rec.IPC, ci: rec.CI}
+		w.memo[rec.Key] = &memoCell{done: ckptDone, ipc: rec.IPC, ci: rec.CI}
 		w.mu.Unlock()
-	}
-	if err := sc.Err(); err != nil {
-		return restored, err
-	}
-	return restored, nil
+		return nil
+	})
+	return restored, err
 }
 
-// isLastLine reports whether raw is the final non-empty line of data.
-func isLastLine(data, raw []byte) bool {
-	tail := bytes.TrimRight(data, " \t\r\n")
-	return bytes.HasSuffix(tail, raw)
-}
-
-// checkpointPoint appends one completed simulation. Injected-fault configs
-// never checkpoint (the Inject field is process-local and json-excluded, so
-// a resumed record could not reproduce the run).
-func (w *Workloads) checkpointPoint(key memoKey, ipc, ci float64) {
-	if key.cfg.Inject != nil {
-		return
-	}
+// checkpointPoint appends one completed simulation.
+func (w *Workloads) checkpointPoint(key string, ipc, ci float64) {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 	if w.ckptFile == nil {
 		return
 	}
-	rec := ckptRecord{Bench: key.bench, Braided: key.braided, IPC: ipc, Cfg: key.cfg}
-	if key.sampling.Enabled() {
-		sp := key.sampling
-		rec.Sampling = &sp
-		rec.CI = ci
-	}
-	data, err := json.Marshal(&rec)
+	data, err := json.Marshal(&ckptRecord{Key: key, IPC: ipc, CI: ci})
 	if err != nil {
-		return // Config is always marshalable; defensive only
+		return // a string and two finite floats always marshal; defensive only
 	}
 	// One Write call per record keeps lines whole even if the process dies
 	// mid-sweep; a torn line can only be the file's very last.

@@ -37,7 +37,7 @@ func TestWorkerPoolSurvivesFault(t *testing.T) {
 	pts = append(pts, faulty)
 
 	// Serial baseline over a fresh cache, clean points only.
-	serial := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	serial := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	want := map[Point]float64{}
 	for _, pt := range pts[:4] {
 		v, err := serial.IPC(pt.Bench, pt.Braided, pt.Cfg)
@@ -49,7 +49,7 @@ func TestWorkerPoolSurvivesFault(t *testing.T) {
 
 	for _, jobs := range []int{1, 4, 8} {
 		crash := t.TempDir()
-		wj := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: jobs}
+		wj := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: jobs}
 		wj.SetCrashDir(crash)
 		got, err := wj.IPCAll(pts)
 		if err != nil {
@@ -96,7 +96,7 @@ func TestCrashArtifactRoundTrip(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	crash := t.TempDir()
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	ws.SetCrashDir(crash)
 	_, err := ws.IPC(b, true, faultyCfg())
 	if err == nil {
@@ -142,7 +142,7 @@ func TestTransientErrorsNotMemoized(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	cfg := uarch.BraidConfig(8)
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	ws.SetTimeout(time.Nanosecond)
 	_, err := ws.IPC(b, true, cfg)
 	if !errors.Is(err, uarch.ErrTimeout) {
@@ -174,7 +174,7 @@ func TestDeterministicFaultsStayMemoized(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	cfg := faultyCfg()
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	_, err1 := ws.IPC(b, true, cfg)
 	_, err2 := ws.IPC(b, true, cfg)
 	var sf *uarch.SimFault
@@ -192,7 +192,7 @@ func TestRetryReruns(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	cfg := uarch.BraidConfig(8)
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	v1, err := ws.IPC(b, true, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestCancellationAbortsBatch(t *testing.T) {
 	w := testSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 4}
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 4}
 	ws.SetContext(ctx)
 	var pts []Point
 	for _, b := range w.Benches[:4] {
@@ -239,7 +239,7 @@ func TestCheckpointResume(t *testing.T) {
 		pts = append(pts, Point{b, true, uarch.BraidConfig(8)}, Point{b, false, uarch.OutOfOrderConfig(8)})
 	}
 
-	first := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 4}
+	first := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 4}
 	if _, err := first.OpenCheckpoint(ckpt, false); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("baseline incomplete: %d/%d points", len(want), len(pts))
 	}
 
-	second := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 4}
+	second := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 4}
 	restored, err := second.OpenCheckpoint(ckpt, true)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestCheckpointResume(t *testing.T) {
 		}
 	}
 	if runs := second.SimRuns(); runs != 0 {
-		t.Errorf("resume re-simulated %d points; the JSONL Config must round-trip to the exact memo key", runs)
+		t.Errorf("resume re-simulated %d points; each record must carry the exact point key", runs)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
 	b := w.Benches[0]
 
-	first := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	first := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	if _, err := first.OpenCheckpoint(ckpt, false); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	second := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	second := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	restored, err := second.OpenCheckpoint(ckpt, true)
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
@@ -331,7 +331,7 @@ func TestCheckpointCorruptMiddleRejected(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ws := &Workloads{memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{memo: map[string]*memoCell{}, jobs: 1}
 	if _, err := ws.OpenCheckpoint(ckpt, true); err == nil {
 		t.Fatal("mid-file corruption silently accepted")
 	}
@@ -342,7 +342,7 @@ func TestCheckpointCorruptMiddleRejected(t *testing.T) {
 func TestFaultyPointsNotCheckpointed(t *testing.T) {
 	w := testSuite(t)
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	if _, err := ws.OpenCheckpoint(ckpt, false); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 	pt := Point{b, true, cfg}
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
 
-	first := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	first := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	if _, err := first.OpenCheckpoint(ckpt, false); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 
 	// Second process: resume, then re-execute the same point so the file
 	// gains a duplicate line for the key.
-	second := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	second := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	if restored, err := second.OpenCheckpoint(ckpt, true); err != nil || restored != 1 {
 		t.Fatalf("first resume: restored=%d err=%v, want 1, nil", restored, err)
 	}
@@ -402,7 +402,11 @@ func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 
 	// Append a forged newest record with a distinguishable value: if reload
 	// is last-write-wins, this is the value a third resume must serve.
-	forged := ckptRecord{Bench: b.Name, Braided: true, IPC: want + 1024, Cfg: cfg}
+	key, err := second.pointKey(b, true, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := ckptRecord{Key: key, IPC: want + 1024}
 	raw, err := json.Marshal(&forged)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +420,7 @@ func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 	}
 	f.Close()
 
-	third := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	third := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
 	restored, err := third.OpenCheckpoint(ckpt, true)
 	if err != nil {
 		t.Fatal(err)

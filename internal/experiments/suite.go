@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -29,12 +30,16 @@ type Bench struct {
 	DynStats   braid.Stats        // execution-weighted Tables 1-3 statistics
 	ValueStats *interp.ValueStats // §1 fanout/lifetime statistics
 	DynInstrs  uint64
+
+	// progHash[braided] is uarch.ProgramHash of Orig or Braided, computed on
+	// first use: a suite that never memoizes never pays for it.
+	progHash [2]func() (string, error)
 }
 
-// Workloads is the prepared suite plus a simulation cache. The cache is safe
-// for concurrent use and duplicate-suppressing: when several goroutines ask
-// for the same (benchmark, braided, config) point, exactly one runs the
-// simulation and the rest wait for its result.
+// Workloads is the prepared suite plus a simulation cache keyed by
+// uarch.PointKey. The cache is safe for concurrent use and
+// duplicate-suppressing: when several goroutines ask for the same point,
+// exactly one runs the simulation and the rest wait for its result.
 //
 // The suite is fault-tolerant: simulations run through uarch.SimulateChecked
 // under the suite context (SetContext) with an optional per-simulation
@@ -54,10 +59,10 @@ type Workloads struct {
 	sampling   uarch.Sampling  // interval sampling geometry (zero: exact)
 
 	mu   sync.Mutex
-	memo map[memoKey]*memoCell
+	memo map[string]*memoCell // by pointKey
 
 	ckptMu   sync.Mutex
-	ckptFile checkpointWriter
+	ckptFile *os.File
 
 	failMu sync.Mutex
 	failed []PointFailure
@@ -67,13 +72,6 @@ type Workloads struct {
 	simInstrs   atomic.Uint64 // retired instructions across executed simulations
 	simDetailed atomic.Uint64 // ... of which ran on the detailed engine
 	simFFwd     atomic.Uint64 // ... of which were functionally fast-forwarded
-}
-
-type memoKey struct {
-	bench    string
-	braided  bool
-	cfg      uarch.Config
-	sampling uarch.Sampling // zero for exact runs: sampled results never alias exact ones
 }
 
 // memoCell is one in-flight or finished simulation; done is closed when ipc
@@ -123,33 +121,26 @@ func (w *Workloads) SetTimeout(d time.Duration) { w.simTimeout = d }
 // is created on first fault.
 func (w *Workloads) SetCrashDir(dir string) { w.crashDir = dir }
 
-// Runner executes one simulation. The default runner is the in-process
-// simulator; installing a remote pool (internal/remote) makes every memoized
-// point and ablation run execute on braidd backends instead. A Runner must
-// be deterministic and must report failures in the local error taxonomy
-// (*uarch.SimFault, ErrCycleLimit, ErrTimeout, ErrCanceled) so memoization,
-// checkpointing, and Failures() accounting behave identically either way.
+// Runner executes one simulation, exact or interval-sampled. The default
+// runner is the in-process simulator; installing a remote pool
+// (internal/remote) makes every memoized point and ablation run execute on
+// braidd backends instead. A Runner must be deterministic and must report
+// failures in the local error taxonomy (*uarch.SimFault, ErrCycleLimit,
+// ErrTimeout, ErrCanceled) so memoization, checkpointing, and Failures()
+// accounting behave identically either way.
 type Runner interface {
 	Simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, error)
+	SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error)
 }
 
 // SetRunner installs the simulation executor; nil restores the in-process
 // simulator. Set it before starting a sweep, not during one.
 func (w *Workloads) SetRunner(r Runner) { w.runner = r }
 
-// SampledRunner is the optional Runner extension for interval-sampled
-// execution. A Runner that lacks it cannot serve a sampled suite —
-// silently falling back to exact would report exact results under a sampled
-// cache key — so simulate returns an error instead.
-type SampledRunner interface {
-	Runner
-	SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error)
-}
-
 // SetSampling selects interval sampling for every subsequent simulation
-// (zero value: exact). Sampled and exact results occupy disjoint memo and
-// checkpoint keyspaces, so switching modes never aliases results. Set it
-// before starting a sweep, not during one.
+// (zero value: exact). The geometry is part of the point key, so switching
+// modes never aliases results. Set it before starting a sweep, not during
+// one.
 func (w *Workloads) SetSampling(sp uarch.Sampling) { w.sampling = sp }
 
 // Sampling reports the suite's sampling geometry (zero when exact).
@@ -161,11 +152,7 @@ func (w *Workloads) Sampling() uarch.Sampling { return w.sampling }
 func (w *Workloads) simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
 	if w.sampling.Enabled() {
 		if w.runner != nil {
-			sr, ok := w.runner.(SampledRunner)
-			if !ok {
-				return nil, nil, fmt.Errorf("experiments: runner %T does not support sampled simulation", w.runner)
-			}
-			return sr.SimulateSampled(ctx, p, cfg, w.sampling)
+			return w.runner.SimulateSampled(ctx, p, cfg, w.sampling)
 		}
 		return uarch.SimulateSampled(ctx, p, cfg, w.sampling)
 	}
@@ -175,6 +162,26 @@ func (w *Workloads) simulate(ctx context.Context, p *isa.Program, cfg uarch.Conf
 	}
 	st, err := uarch.SimulateChecked(ctx, p, cfg)
 	return st, nil, err
+}
+
+// pointKey is the memo and checkpoint key of one point under the suite's
+// sampling geometry. An injected-fault config appends its plan's address:
+// Config.Inject is json-excluded, so without the suffix an armed run would
+// alias its clean config.
+func (w *Workloads) pointKey(b *Bench, braided bool, cfg *uarch.Config) (string, error) {
+	i := 0
+	if braided {
+		i = 1
+	}
+	prog, err := b.progHash[i]()
+	if err != nil {
+		return "", fmt.Errorf("experiments: %s: %w", b.Name, err)
+	}
+	key := uarch.PointKey(prog, uarch.ConfigHash(cfg), w.sampling)
+	if cfg.Inject != nil {
+		key += fmt.Sprintf(":inject%p", cfg.Inject)
+	}
+	return key, nil
 }
 
 // baseCtx resolves the suite context, defaulting to Background.
@@ -226,7 +233,7 @@ func LoadSuiteCtx(ctx context.Context, dynTarget uint64, jobs int) (*Workloads, 
 	if dynTarget < 1000 {
 		return nil, fmt.Errorf("experiments: dynTarget %d too small", dynTarget)
 	}
-	w := &Workloads{memo: map[memoKey]*memoCell{}, jobs: defaultJobs(jobs), ctx: ctx}
+	w := &Workloads{memo: map[string]*memoCell{}, jobs: defaultJobs(jobs), ctx: ctx}
 	benches, err := parallelMap(w.jobs, workload.Profiles(), func(prof workload.Profile) (*Bench, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w: suite preparation stopped", prof.Name, uarch.ErrCanceled)
@@ -343,6 +350,9 @@ func prepare(prof workload.Profile, dynTarget uint64) (*Bench, error) {
 		Braided: res.Prog,
 		Compile: res,
 	}
+	for i, p := range []*isa.Program{orig, res.Prog} {
+		b.progHash[i] = sync.OnceValues(func() (string, error) { return uarch.ProgramHash(p) })
+	}
 
 	// Execution-weighted braid statistics (Tables 1-3).
 	ds := braid.NewDynamicStats(res)
@@ -377,7 +387,10 @@ func (w *Workloads) IPC(b *Bench, braided bool, cfg uarch.Config) (float64, erro
 // IPCCI is IPC plus the estimate's relative 95% confidence half-width on
 // IPC — zero for exact runs, where the result is not an estimate.
 func (w *Workloads) IPCCI(b *Bench, braided bool, cfg uarch.Config) (float64, float64, error) {
-	key := memoKey{b.Name, braided, cfg, w.sampling}
+	key, err := w.pointKey(b, braided, &cfg)
+	if err != nil {
+		return 0, 0, err
+	}
 	w.mu.Lock()
 	if c, ok := w.memo[key]; ok {
 		w.mu.Unlock()
@@ -394,7 +407,7 @@ func (w *Workloads) IPCCI(b *Bench, braided bool, cfg uarch.Config) (float64, fl
 // result through its latch. Transient errors evict the cell afterwards —
 // waiters that already joined the latch still see the error, but the key is
 // not poisoned for the process lifetime.
-func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, cfg uarch.Config) (float64, float64, error) {
+func (w *Workloads) runPoint(key string, c *memoCell, b *Bench, braided bool, cfg uarch.Config) (float64, float64, error) {
 	w.simRuns.Add(1)
 	p := b.Orig
 	if braided {
@@ -421,7 +434,9 @@ func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, c
 		} else {
 			w.simDetailed.Add(st.Retired)
 		}
-		w.checkpointPoint(key, c.ipc, c.ci)
+		if cfg.Inject == nil { // a process-local fault plan cannot be resumed
+			w.checkpointPoint(key, c.ipc, c.ci)
+		}
 	}
 	close(c.done)
 	if c.err != nil && Transient(c.err) {
@@ -438,7 +453,10 @@ func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, c
 // evicted first, so the simulation executes again; an in-flight cell is
 // joined instead of duplicated.
 func (w *Workloads) Retry(pt Point) (float64, error) {
-	key := memoKey{pt.Bench.Name, pt.Braided, pt.Cfg, w.sampling}
+	key, err := w.pointKey(pt.Bench, pt.Braided, &pt.Cfg)
+	if err != nil {
+		return 0, err
+	}
 	w.mu.Lock()
 	if c, ok := w.memo[key]; ok {
 		select {

@@ -30,7 +30,7 @@ func TestMemoCacheConcurrent(t *testing.T) {
 	// A fresh cache over the same prepared benchmarks isolates the counter
 	// from the rest of the test binary (the suite is shared).
 	fresh := func() *Workloads {
-		return &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 8}
+		return &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 8}
 	}
 
 	serial := fresh()
@@ -90,7 +90,7 @@ func TestIPCAllMatchesSerial(t *testing.T) {
 	for _, b := range w.Benches[:3] {
 		pts = append(pts, Point{b, true, cfg}, Point{b, true, cfg}) // duplicates
 	}
-	batch := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 8}
+	batch := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 8}
 	got, err := batch.IPCAll(pts)
 	if err != nil {
 		t.Fatal(err)

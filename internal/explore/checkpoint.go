@@ -1,11 +1,15 @@
 package explore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"reflect"
+
+	"braid/internal/jsonl"
+	"braid/internal/uarch"
 )
 
 // Meta pins the search parameters a checkpoint was taken under. Resume
@@ -13,6 +17,7 @@ import (
 // parameters would blend two different searches into one front.
 type Meta struct {
 	Lattice   int      `json:"lattice"` // latticeVersion the genomes index into
+	Model     int      `json:"model"`   // uarch.ModelVersion the evaluations ran under
 	Seed      int64    `json:"seed"`
 	Pop       int      `json:"pop"`
 	Budget    int      `json:"budget"`
@@ -54,6 +59,7 @@ type Checkpoint struct {
 // missing or empty file degrades to a fresh start.
 func OpenCheckpoint(path string, meta Meta, resume bool) (*Checkpoint, error) {
 	meta.Lattice = latticeVersion
+	meta.Model = uarch.ModelVersion
 	if resume {
 		data, err := os.ReadFile(path)
 		if err != nil && !os.IsNotExist(err) {
@@ -78,57 +84,42 @@ func OpenCheckpoint(path string, meta Meta, resume bool) (*Checkpoint, error) {
 func loadCheckpoint(path string, data []byte, want Meta) (*Checkpoint, error) {
 	ck := &Checkpoint{}
 	haveMeta := false
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	tail := bytes.TrimRight(data, " \t\r\n")
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var line ckptLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			if bytes.HasSuffix(tail, raw) {
-				break // torn final line from an interrupted append
-			}
-			return nil, fmt.Errorf("explore: corrupt checkpoint %s: %w", path, err)
-		}
+	err := jsonl.Each(data, func(line ckptLine) error {
 		switch line.Kind {
 		case "meta":
 			if haveMeta || len(ck.gens) > 0 {
-				return nil, fmt.Errorf("explore: checkpoint %s: duplicate or misplaced meta line", path)
+				return errors.New("duplicate or misplaced meta line")
 			}
 			if line.Meta == nil {
-				return nil, fmt.Errorf("explore: checkpoint %s: empty meta line", path)
+				return errors.New("empty meta line")
 			}
-			haveMeta = true
-			m := *line.Meta
-			ck.meta = m
-			if !metaEqual(m, want) {
-				return nil, fmt.Errorf("explore: checkpoint %s was taken with different parameters\n  have: %s\n  want: %s\n(delete the file or rerun with matching flags)",
-					path, metaString(m), metaString(want))
+			haveMeta, ck.meta = true, *line.Meta
+			if !reflect.DeepEqual(ck.meta, want) {
+				return fmt.Errorf("taken with different parameters\n  have: %+v\n  want: %+v\n(delete the file or rerun with matching flags)",
+					ck.meta, want)
 			}
 		case "gen":
 			if line.Gen != len(ck.gens) {
-				return nil, fmt.Errorf("explore: checkpoint %s: generation %d out of order (want %d)", path, line.Gen, len(ck.gens))
+				return fmt.Errorf("generation %d out of order (want %d)", line.Gen, len(ck.gens))
 			}
 			for _, g := range line.Population {
 				if !g.valid() {
-					return nil, fmt.Errorf("explore: checkpoint %s: generation %d holds a genome outside the lattice", path, line.Gen)
+					return fmt.Errorf("generation %d holds a genome outside the lattice", line.Gen)
 				}
 			}
 			for _, e := range line.Fresh {
 				if !e.Genome.valid() {
-					return nil, fmt.Errorf("explore: checkpoint %s: generation %d evaluated a genome outside the lattice", path, line.Gen)
+					return fmt.Errorf("generation %d evaluated a genome outside the lattice", line.Gen)
 				}
 			}
 			ck.gens = append(ck.gens, line)
 		default:
-			return nil, fmt.Errorf("explore: checkpoint %s: unknown record kind %q", path, line.Kind)
+			return fmt.Errorf("unknown record kind %q", line.Kind)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("explore: checkpoint %s: %w", path, err)
 	}
 	if !haveMeta {
 		return nil, fmt.Errorf("explore: checkpoint %s has no meta line", path)
@@ -139,26 +130,6 @@ func loadCheckpoint(path string, data []byte, want Meta) (*Checkpoint, error) {
 	}
 	ck.f = f
 	return ck, nil
-}
-
-func metaEqual(a, b Meta) bool {
-	if a.Lattice != b.Lattice || a.Seed != b.Seed || a.Pop != b.Pop ||
-		a.Budget != b.Budget || a.Sampling != b.Sampling ||
-		a.DynTarget != b.DynTarget || a.Inject != b.Inject ||
-		len(a.Workloads) != len(b.Workloads) {
-		return false
-	}
-	for i := range a.Workloads {
-		if a.Workloads[i] != b.Workloads[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func metaString(m Meta) string {
-	return fmt.Sprintf("lattice=%d seed=%d pop=%d budget=%d workloads=%v sampling=%q dyn=%d inject=%d",
-		m.Lattice, m.Seed, m.Pop, m.Budget, m.Workloads, m.Sampling, m.DynTarget, m.Inject)
 }
 
 // Generations reports how many complete generations the checkpoint holds.

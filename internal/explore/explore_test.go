@@ -3,9 +3,11 @@ package explore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,6 +208,34 @@ func TestResumeRefusesParameterMismatch(t *testing.T) {
 	grown.Workloads = []string{"gcc", "mcf"}
 	if _, err := OpenCheckpoint(path, grown, true); err == nil {
 		t.Fatal("resume accepted a checkpoint with a different workload set")
+	}
+}
+
+// TestResumeRefusesOtherModel: braidtune's resume never re-simulates, so a
+// front evaluated under another timing model (uarch.ModelVersion) must be
+// refused rather than replayed as current.
+func TestResumeRefusesOtherModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	meta := Meta{Seed: 1, Pop: 8, Budget: 32, Workloads: []string{"gcc"}, DynTarget: testDyn}
+	ck, err := OpenCheckpoint(path, meta, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := fmt.Sprintf(`"model":%d,`, uarch.ModelVersion)
+	if !bytes.Contains(data, []byte(stamp)) {
+		t.Fatalf("checkpoint meta does not record the model version: %s", data)
+	}
+	old := bytes.Replace(data, []byte(stamp), []byte(fmt.Sprintf(`"model":%d,`, uarch.ModelVersion-1)), 1)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCheckpoint(path, meta, true); err == nil || !strings.Contains(err.Error(), "different parameters") {
+		t.Fatalf("resume of another model's checkpoint: got %v, want a parameter-mismatch refusal", err)
 	}
 }
 

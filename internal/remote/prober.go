@@ -11,14 +11,10 @@ import (
 	"sync"
 	"time"
 
+	"braid/internal/service"
 	"braid/internal/uarch"
 	"braid/internal/workload"
 )
-
-// canaryHeader marks a probe simulation: the server admits it without
-// shedding (it waits for a slot instead of 429ing), so an overloaded-but-
-// healthy backend is not misdiagnosed as broken.
-const canaryHeader = "X-Braid-Canary"
 
 // canaryMaterial is the known-answer probe, built once per process: the
 // tiny "dot" kernel on a 2-wide out-of-order core, with the expected Stats
@@ -188,7 +184,7 @@ func (p *Pool) canary(ctx context.Context, i int) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(canaryHeader, "1")
+	req.Header.Set(service.CanaryHeader, "1")
 	resp, err := p.client.Do(req)
 	if err != nil {
 		p.probeFailures.Add(1)

@@ -1,14 +1,14 @@
 // Package remote is the distributed-execution client for braidd: it fans a
 // design-space sweep's simulation points out across one or more braidd
-// backends. The pool routes each point by its (program image, configuration)
-// content hash over a consistent-hash ring, so a repeated point lands on the
-// backend whose result LRU already holds it; transient failures — 429
-// overload, 5xx, connection errors — retry with exponential backoff and
-// jitter (honoring Retry-After) and fail over around the ring, so a backend
-// killed mid-sweep costs latency, not the sweep; optional hedged requests
-// duplicate a straggler onto the next backend after the pool's observed p95;
-// and a verify mode cross-checks a deterministic sample of remote Stats
-// bit-for-bit against local simulation.
+// backends. The pool routes each point by its point key (uarch.PointKey, the
+// same key braidd caches under) over a consistent-hash ring, so a repeated
+// point lands on the backend whose result LRU already holds it; transient
+// failures — 429 overload, 5xx, connection errors — retry with exponential
+// backoff and jitter (honoring Retry-After) and fail over around the ring,
+// so a backend killed mid-sweep costs latency, not the sweep; optional
+// hedged requests duplicate a straggler onto the next backend after the
+// pool's observed p95; and a verify mode cross-checks a deterministic sample
+// of remote Stats bit-for-bit against local simulation.
 //
 // The pool implements the experiments.Runner interface, so a Workloads suite
 // pointed at it keeps its memoization, checkpoint/resume, and Failures()
@@ -334,10 +334,10 @@ func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config
 }
 
 // SimulateSampled runs one point remotely with interval-sampled timing,
-// satisfying experiments.SampledRunner. The routing key gains the sampling
-// geometry, so sampled and exact results occupy disjoint server cache
-// keyspaces, and verification compares the estimate within tolerance rather
-// than byte-for-byte.
+// the other half of experiments.Runner. The geometry is part of the point
+// key, so sampled and exact results never share a server cache entry, and
+// verification compares the estimate within tolerance rather than
+// byte-for-byte.
 func (p *Pool) SimulateSampled(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
 	r, err := p.run(ctx, prog, cfg, sp)
 	if err != nil {
@@ -387,29 +387,18 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 	return res, nil
 }
 
-// encodeRequest serializes the exact program image and full configuration.
+// encodeRequest serializes the exact program image and full configuration,
+// and returns the point key the backend will cache the result under.
 // Sending the image (rather than a workload name) guarantees the backend
 // simulates the same bytes the caller would locally — iteration calibration,
-// braid compilation, and any local program surgery are all already baked in —
-// and makes the routing key identical for identical points everywhere.
+// braid compilation, and any local program surgery are all already baked in.
 func encodeRequest(prog *isa.Program, cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (body []byte, key string, err error) {
 	var img bytes.Buffer
 	if err := isa.WriteImage(&img, prog); err != nil {
 		return nil, "", fmt.Errorf("remote: encoding %q: %w", prog.Name, err)
 	}
 	cfg.Inject = nil // process-local and json-excluded; never meaningful remotely
-	cfgJSON, err := json.Marshal(&cfg)
-	if err != nil {
-		return nil, "", fmt.Errorf("remote: encoding config: %w", err)
-	}
-	progSum := sha256.Sum256(img.Bytes())
-	cfgSum := sha256.Sum256(cfgJSON)
-	key = hex.EncodeToString(progSum[:]) + ":" + hex.EncodeToString(cfgSum[:])
-	if sp.Enabled() {
-		// Mirror the server's cache-key suffix, so a sampled point routes to
-		// the backend whose LRU holds the sampled (not the exact) entry.
-		key += ":s" + sp.String()
-	}
+	key = uarch.PointKey(uarch.ImageHash(img.Bytes()), uarch.ConfigHash(&cfg), sp)
 
 	noBraid := false // the image is final; the backend must not recompile it
 	req := service.SimRequest{
@@ -734,7 +723,7 @@ func (p *Pool) call(ctx context.Context, backend string, body []byte) (*Result, 
 		// JSON it embedded. A body mangled in transit still parses if the
 		// corruption keeps the JSON well-formed; the digest does not lie.
 		// Mismatch is a transport-class failure — retry elsewhere.
-		if want := resp.Header.Get(statsSHAHeader); want != "" {
+		if want := resp.Header.Get(service.StatsSHAHeader); want != "" {
 			sum := sha256.Sum256(sr.Stats)
 			if got := hex.EncodeToString(sum[:]); got != want {
 				p.integrityFailures.Add(1)
@@ -760,10 +749,6 @@ func (p *Pool) call(ctx context.Context, backend string, body []byte) (*Result, 
 	}
 	return nil, parseRetryAfter(resp), p.translateError(backend, resp.StatusCode, data)
 }
-
-// statsSHAHeader carries the server's SHA-256 over the Stats JSON bytes
-// embedded in a /v1/simulate response, hex-encoded.
-const statsSHAHeader = "X-Braid-Stats-SHA256"
 
 func parseRetryAfter(resp *http.Response) time.Duration {
 	return retryAfterDuration(resp.Header.Get("Retry-After"), time.Now())

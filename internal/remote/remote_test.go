@@ -627,3 +627,43 @@ func TestHedgedLoserFreesWorker(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 	}
 }
+
+// TestRoutingKeyIsServerKey: the pool routes a point by the key braidd will
+// cache it under — encodeRequest's key equals service.Build(decoded
+// body).Key() — so a repeated point lands on the backend whose LRU holds it,
+// for exact and sampled points alike.
+func TestRoutingKeyIsServerKey(t *testing.T) {
+	prof, ok := workload.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("gcc profile missing")
+	}
+	gcc, err := workload.Generate(prof, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		prog *isa.Program
+		cfg  uarch.Config
+		sp   uarch.Sampling
+	}{
+		{"exact", mustKernel(t, "dot"), uarch.OutOfOrderConfig(8), uarch.Sampling{}},
+		{"sampled", gcc, uarch.DepSteerConfig(4), uarch.Sampling{Period: 2000, Detail: 200, Warmup: 200}},
+	} {
+		body, key, err := encodeRequest(tc.prog, tc.cfg, 0, tc.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req service.SimRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		b, err := service.Build(&req, service.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Key() != key {
+			t.Errorf("%s: pool routes by %q, server caches under %q", tc.name, key, b.Key())
+		}
+	}
+}

@@ -8,8 +8,8 @@ import (
 
 // ring is a consistent-hash ring over backend indices. Each backend owns
 // replicas virtual nodes, so load spreads evenly while a key's owner moves
-// only when its arc's backend set changes. Routing the (program, config)
-// cache key through the ring is what makes a repeated design point land on
+// only when its arc's backend set changes. Routing the point key (the
+// backend's cache key) through the ring is what makes a repeated design point land on
 // the backend that already holds it in its result LRU: the sweep's working
 // set shards across the fleet instead of duplicating into every cache.
 type ring struct {

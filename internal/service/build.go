@@ -2,10 +2,7 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -53,9 +50,9 @@ type SimRequest struct {
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 
 	// Sampling selects interval-sampled timing (period/detail/warmup);
-	// absent runs exact. Sampled results live in a cache keyspace disjoint
-	// from exact ones, so the same program+config never aliases across
-	// modes.
+	// absent runs exact. The geometry is part of the point key
+	// (uarch.PointKey), so a sampled estimate and an exact result of the
+	// same program and config never share a cache entry.
 	Sampling *uarch.Sampling `json:"sampling,omitempty"`
 }
 
@@ -66,23 +63,15 @@ type Built struct {
 	Config   uarch.Config
 	Braided  bool
 	Sampling uarch.Sampling // zero: exact timing
-	ProgHash string
-	ConfHash string
-	Timeout  time.Duration // request-level wall-clock bound (0: server default)
+	ProgHash string         // uarch.ProgramHash(Program)
+	ConfHash string         // uarch.ConfigHash(&Config)
+	Timeout  time.Duration  // request-level wall-clock bound (0: server default)
 }
 
-// Key is the result-cache and coalescing key: requests that resolve to the
-// same program bytes and the same configuration are the same simulation.
-// Sampled requests append their geometry, so sampled estimates and exact
-// results never share an entry — and exact keys are unchanged from before
-// sampling existed.
-func (b *Built) Key() string {
-	key := b.ProgHash + ":" + b.ConfHash
-	if b.Sampling.Enabled() {
-		key += ":s" + b.Sampling.String()
-	}
-	return key
-}
+// Key is the result-cache and coalescing key, uarch.PointKey: requests that
+// resolve to the same program bytes, configuration and sampling geometry
+// are the same simulation.
+func (b *Built) Key() string { return uarch.PointKey(b.ProgHash, b.ConfHash, b.Sampling) }
 
 // Limits bound what a single request may ask of the machine; the zero value
 // applies the package defaults.
@@ -156,12 +145,10 @@ func Build(req *SimRequest, lim Limits) (*Built, error) {
 		}
 		b.Sampling = *req.Sampling
 	}
-	if b.ProgHash, err = hashProgram(p); err != nil {
+	if b.ProgHash, err = uarch.ProgramHash(p); err != nil {
 		return nil, err
 	}
-	if b.ConfHash, err = hashConfig(&cfg); err != nil {
-		return nil, err
-	}
+	b.ConfHash = uarch.ConfigHash(&cfg)
 	return b, nil
 }
 
@@ -272,22 +259,4 @@ func alreadyBraided(p *isa.Program) bool {
 		}
 	}
 	return false
-}
-
-func hashProgram(p *isa.Program) (string, error) {
-	var buf bytes.Buffer
-	if err := isa.WriteImage(&buf, p); err != nil {
-		return "", fmt.Errorf("hashing program: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
-}
-
-func hashConfig(cfg *uarch.Config) (string, error) {
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("hashing config: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // resultCache is a keyed LRU over successful simulation results. The
-// simulator is deterministic, so a (program hash, config hash) key fully
+// simulator is deterministic, so a point key (uarch.PointKey) fully
 // identifies the Stats it produces and a hit is bit-identical to rerunning.
 // Failures are never cached: a fault or limit must re-execute so a fixed
 // input or a raised budget can succeed.

@@ -30,9 +30,9 @@ func TestStatsIntegrityHeader(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, data)
 		}
-		header := resp.Header.Get(statsSHAHeader)
+		header := resp.Header.Get(StatsSHAHeader)
 		if header == "" {
-			t.Fatalf("%s: no %s header", body, statsSHAHeader)
+			t.Fatalf("%s: no %s header", body, StatsSHAHeader)
 		}
 		var rr struct {
 			Stats json.RawMessage `json:"stats"`
@@ -176,7 +176,7 @@ func TestCanaryWaitsInsteadOfShedding(t *testing.T) {
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(canaryHeader, "1")
+		req.Header.Set(CanaryHeader, "1")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			canaryDone <- -1

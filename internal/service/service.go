@@ -27,15 +27,14 @@ import (
 	"braid/internal/uarch"
 )
 
-// Wire headers shared with the internal/remote client (which keeps its own
-// copies — the client imports this package, not the other way around).
+// Wire headers shared with the internal/remote client.
 const (
-	// canaryHeader marks a health prober's known-answer simulation; such
+	// CanaryHeader marks a health prober's known-answer simulation; such
 	// requests wait for admission instead of being shed.
-	canaryHeader = "X-Braid-Canary"
-	// statsSHAHeader carries the hex SHA-256 of the Stats JSON embedded in
+	CanaryHeader = "X-Braid-Canary"
+	// StatsSHAHeader carries the hex SHA-256 of the Stats JSON embedded in
 	// a /v1/simulate response, for end-to-end integrity verification.
-	statsSHAHeader = "X-Braid-Stats-SHA256"
+	StatsSHAHeader = "X-Braid-Stats-SHA256"
 )
 
 // Config sizes the server. Zero fields take the documented defaults.
@@ -204,7 +203,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// A health prober's canary waits for a worker slot instead of being
 	// shed: a saturated queue means the backend is busy, not broken, and a
 	// 429 here would read as a failed probe and eject a healthy backend.
-	shed := r.Header.Get(canaryHeader) == ""
+	shed := r.Header.Get(CanaryHeader) == ""
 	res, err := s.runSim(r.Context(), b, shed)
 	if err != nil {
 		status, body := simErrorBody(err)
@@ -220,7 +219,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// so the client can verify end-to-end that the stats survived transit.
 	if raw, err := json.Marshal(resp.Stats); err == nil {
 		sum := sha256.Sum256(raw)
-		w.Header().Set(statsSHAHeader, hex.EncodeToString(sum[:]))
+		w.Header().Set(StatsSHAHeader, hex.EncodeToString(sum[:]))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

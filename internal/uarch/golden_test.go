@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -141,5 +143,27 @@ func TestGoldenStats(t *testing.T) {
 			}
 		}
 		t.Fatalf("golden stats diverged; a timing-semantics change must be deliberate (regenerate with -update)")
+	}
+}
+
+// goldenModel pins testdata/golden_stats.txt to the ModelVersion it belongs
+// to. Results are keyed by ModelVersion (PointKey), so goldens regenerated
+// with -update — a timing-semantics change — must come with a bump, or
+// checkpoints and caches from the old model would be served as current.
+var goldenModel = map[int]string{
+	1: "7a6a8304a53346281b88eaee40cf967acd6bbd67225ca43f05e63b5ed61aaa3a",
+}
+
+func TestModelVersionPinsGoldens(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_stats.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	got := hex.EncodeToString(sum[:])
+	if want := goldenModel[ModelVersion]; got != want {
+		t.Fatalf("testdata/golden_stats.txt (sha256 %s) is not the golden pinned to ModelVersion %d (%q).\n"+
+			"If timing semantics changed on purpose, bump uarch.ModelVersion to %d and add\n"+
+			"\t%d: %q,\nto goldenModel.", got, ModelVersion, want, ModelVersion+1, ModelVersion+1, got)
 	}
 }
