@@ -75,12 +75,13 @@ func main() {
 		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0: none)")
 		remoteList = flag.String("remote", "", "comma-separated braidd base URLs; simulations run on these backends")
 		hedge      = flag.Bool("hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-		remoteVer  = flag.Int("remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N points (needs -remote; 0: off)")
-		fallback   = flag.String("fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
+		remoteVer  = flag.Int("remote-verify", 0, "re-simulate ~1 in N remote points locally: exact Stats must match byte for byte, sampled IPC within tolerance (needs -remote; 0: off)")
 		probe      = flag.Duration("probe", 0, "background health-probe interval; ejects dead backends and reintegrates recovered ones (needs -remote; 0: off)")
 		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup]; empty runs exact")
 		accuracy   = flag.String("sampling-accuracy", "", "write an exact-vs-sampled suite accuracy report (JSON) to this file and exit")
+		fallback   remote.FallbackPolicy
 	)
+	flag.Var(&fallback, "fallback", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
 	flag.Parse()
 
 	sampling, err := uarch.ParseSampling(*sample)
@@ -159,32 +160,19 @@ func main() {
 	}
 	var pool *remote.Pool
 	if *remoteList != "" {
-		fb, perr := remote.ParseFallback(*fallback)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", perr)
-			os.Exit(1)
-		}
-		pool, perr = remote.NewPool(remote.Options{
+		pool, err = remote.Dial(ctx, remote.Options{
 			Backends:    strings.Split(*remoteList, ","),
 			Hedge:       *hedge,
 			VerifyEvery: *remoteVer,
 			TimeoutMS:   simTimeout.Milliseconds(),
-			Fallback:    fb,
-		})
-		if perr == nil {
-			var down []string
-			if down, perr = pool.Ping(ctx); len(down) > 0 {
-				fmt.Fprintf(os.Stderr, "braidbench: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
-			}
-		}
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", perr)
+			Fallback:    fallback,
+			Probe:       *probe,
+		}, 0)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
 			os.Exit(1)
 		}
-		if *probe > 0 {
-			stop := pool.StartProber(ctx, *probe)
-			defer stop()
-		}
+		defer pool.Close()
 		w.SetRunner(pool)
 		fmt.Fprintf(os.Stderr, "braidbench: remote execution over %d backend(s)\n", len(pool.Backends()))
 	}

@@ -238,34 +238,16 @@ type loadResult struct {
 // backend — the distributed analogue of the single-server burst.
 func runPoolMode(addrs []string, mix []mixItem, conc, total int, verify, hedge bool, timeout, wait, probe time.Duration, client *http.Client) *loadResult {
 	ctx := context.Background()
-	pool, err := remote.NewPool(remote.Options{
+	pool, err := remote.Dial(ctx, remote.Options{
 		Backends: addrs,
 		Hedge:    hedge,
 		Timeout:  timeout,
-	})
+		Probe:    probe,
+	}, wait)
 	if err != nil {
 		log.Fatalf("braidload: %v", err)
 	}
-	if probe > 0 {
-		stop := pool.StartProber(ctx, probe)
-		defer stop()
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		var down []string
-		down, err = pool.Ping(ctx)
-		if err == nil && len(down) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				log.Fatalf("braidload: %v", err)
-			}
-			log.Printf("braidload: backends still down after %s (will fail over): %s", wait, strings.Join(down, ","))
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	defer pool.Close()
 
 	items := buildPrograms(mix)
 	var expected map[string][]byte

@@ -18,7 +18,7 @@
 // -ipc appends each benchmark's simulated IPC (8-wide out-of-order and
 // braid) to its report; with -remote host1,host2 those simulations run on
 // braidd backends through the internal/remote pool (-hedge duplicates
-// stragglers, -remote-verify cross-checks a sample locally), producing
+// stragglers, -remote-verify re-simulates a sample locally), producing
 // byte-identical output to local execution. -complexity adds the two
 // machines' hardware-cost totals (uarch.EstimateComplexity) beneath each
 // ipc line, quantifying the §5.1 complexity claim next to the speed it buys.
@@ -60,12 +60,13 @@ func main() {
 		ipc        = flag.Bool("ipc", false, "append simulated IPC (8-wide o-o-o and braid) to each report; ignored with -values")
 		remoteList = flag.String("remote", "", "comma-separated braidd base URLs; -ipc simulations run on these backends")
 		hedge      = flag.Bool("hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-		remoteVer  = flag.Int("remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N (needs -remote; 0: off)")
-		fallback   = flag.String("fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' reports the error (needs -remote)")
+		remoteVer  = flag.Int("remote-verify", 0, "re-simulate ~1 in N remote points locally: exact Stats must match byte for byte, sampled IPC within tolerance (needs -remote; 0: off)")
 		probe      = flag.Duration("probe", 0, "background health-probe interval for the remote pool (needs -remote; 0: off)")
 		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup] for -ipc simulations; empty runs exact")
 		complexity = flag.Bool("complexity", false, "append each machine's hardware-cost estimate to the -ipc section (needs -ipc)")
+		fallback   remote.FallbackPolicy
 	)
+	flag.Var(&fallback, "fallback", "when every backend attempt fails: 'local' simulates in-process, 'fail' reports the error (needs -remote)")
 	flag.Parse()
 
 	sampling, err := uarch.ParseSampling(*sample)
@@ -82,29 +83,17 @@ func main() {
 			return uarch.SimulateSampled(ctx, p, cfg, sampling)
 		}
 		if *remoteList != "" {
-			fb, err := remote.ParseFallback(*fallback)
-			if err != nil {
-				fatal(err)
-			}
-			pool, err := remote.NewPool(remote.Options{
+			pool, err := remote.Dial(ctx, remote.Options{
 				Backends:    strings.Split(*remoteList, ","),
 				Hedge:       *hedge,
 				VerifyEvery: *remoteVer,
-				Fallback:    fb,
-			})
-			if err == nil {
-				var down []string
-				if down, err = pool.Ping(ctx); len(down) > 0 {
-					fmt.Fprintf(os.Stderr, "braidstat: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
-				}
-			}
+				Fallback:    fallback,
+				Probe:       *probe,
+			}, 0)
 			if err != nil {
 				fatal(err)
 			}
-			if *probe > 0 {
-				stopProbe := pool.StartProber(ctx, *probe)
-				defer stopProbe()
-			}
+			defer pool.Close()
 			sim = func(p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
 				return pool.SimulateSampled(ctx, p, cfg, sampling)
 			}

@@ -61,10 +61,11 @@ func main() {
 		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0: none)")
 		remoteList = flag.String("remote", "", "comma-separated braidd base URLs; simulations run on these backends")
 		hedge      = flag.Bool("hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-		fallback   = flag.String("fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
 		probe      = flag.Duration("probe", 0, "background health-probe interval for -remote backends (0: off)")
 		inject     = flag.Int("inject-fault", 0, "arm the Nth unique evaluation with a pipeline fault (CI containment check; 0: off)")
+		fallback   remote.FallbackPolicy
 	)
+	flag.Var(&fallback, "fallback", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
 	flag.Parse()
 
 	sampling, err := uarch.ParseSampling(*sample)
@@ -100,29 +101,17 @@ func main() {
 
 	var pool *remote.Pool
 	if *remoteList != "" {
-		fb, perr := remote.ParseFallback(*fallback)
-		if perr != nil {
-			fatal(perr)
-		}
-		pool, perr = remote.NewPool(remote.Options{
+		pool, err = remote.Dial(ctx, remote.Options{
 			Backends:  strings.Split(*remoteList, ","),
 			Hedge:     *hedge,
 			TimeoutMS: simTimeout.Milliseconds(),
-			Fallback:  fb,
-		})
-		if perr == nil {
-			var down []string
-			if down, perr = pool.Ping(ctx); len(down) > 0 {
-				fmt.Fprintf(os.Stderr, "braidtune: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
-			}
+			Fallback:  fallback,
+			Probe:     *probe,
+		}, 0)
+		if err != nil {
+			fatal(err)
 		}
-		if perr != nil {
-			fatal(perr)
-		}
-		if *probe > 0 {
-			stopProbe := pool.StartProber(ctx, *probe)
-			defer stopProbe()
-		}
+		defer pool.Close()
 		w.SetRunner(pool)
 		fmt.Fprintf(os.Stderr, "braidtune: remote execution over %d backend(s)\n", len(pool.Backends()))
 	}

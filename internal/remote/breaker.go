@@ -25,55 +25,31 @@ func (s breakerState) String() string {
 	}
 }
 
-// breakerConfig tunes one breaker; zero fields take the pool defaults.
-type breakerConfig struct {
-	threshold int           // consecutive failures that trip the breaker
-	window    int           // outcome ring length for rate tripping
-	rate      float64       // failure fraction over a full window that trips
-	cooldown  time.Duration // open -> half-open delay, and probe expiry
-}
-
-// breaker is a per-backend circuit breaker. Closed, it records outcomes and
-// trips open on either a run of consecutive failures or a failure rate over
-// a sliding outcome window; open, it short-circuits requests until cooldown
-// has passed; half-open, it admits one probe at a time — a probe success
-// closes the breaker, a failure re-opens it, and an unreported probe (the
-// caller was canceled mid-flight) expires after another cooldown so the
-// breaker can never deadlock waiting on a verdict that will not come.
+// breaker is a per-backend circuit breaker. Closed, it counts consecutive
+// failures and trips open after threshold of them; open, it short-circuits
+// requests until cooldown has passed; half-open, it admits one probe at a
+// time — a probe success closes the breaker, a failure re-opens it, and an
+// unreported probe (the caller was canceled mid-flight) expires after
+// another cooldown so the breaker can never deadlock waiting on a verdict
+// that will not come. A failure rate over a sliding window was measured as
+// a second trip rule and moved no outcome of the fleet ablation
+// (TestFleetAblation), so consecutive failures are the only rule.
 //
 // All methods take the clock as a parameter, so state-machine tests drive
 // time synthetically.
 type breaker struct {
-	mu  sync.Mutex
-	cfg breakerConfig
+	mu        sync.Mutex
+	threshold int           // consecutive failures that trip the breaker
+	cooldown  time.Duration // open -> half-open delay, and probe expiry
 
 	state    breakerState
-	consec   int    // consecutive failures while closed
-	ring     []bool // sliding outcome window; true = failure
-	ringN    int    // valid entries
-	ringPos  int
+	consec   int // consecutive failures while closed
 	openedAt time.Time
 	probing  bool
 	probeAt  time.Time
 
 	trips  uint64 // closed->open transitions, ejects and re-opens included
 	probes uint64 // half-open probes granted
-}
-
-func newBreaker(cfg breakerConfig) *breaker {
-	if cfg.threshold <= 0 {
-		cfg.threshold = 3
-	}
-	if cfg.window <= 0 {
-		cfg.window = 20
-	}
-	if cfg.rate <= 0 || cfg.rate > 1 {
-		cfg.rate = 0.5
-	}
-	if cfg.cooldown <= 0 {
-		cfg.cooldown = time.Second
-	}
-	return &breaker{cfg: cfg, ring: make([]bool, cfg.window)}
 }
 
 // allow reports whether a request may be sent now. While half-open it grants
@@ -85,7 +61,7 @@ func (b *breaker) allow(now time.Time) bool {
 	case stateClosed:
 		return true
 	case stateOpen:
-		if now.Sub(b.openedAt) < b.cfg.cooldown {
+		if now.Sub(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.state = stateHalfOpen
@@ -94,7 +70,7 @@ func (b *breaker) allow(now time.Time) bool {
 		b.probes++
 		return true
 	default: // half-open
-		if b.probing && now.Sub(b.probeAt) <= b.cfg.cooldown {
+		if b.probing && now.Sub(b.probeAt) <= b.cooldown {
 			return false // a probe is already in flight and not yet expired
 		}
 		b.probing = true
@@ -114,7 +90,6 @@ func (b *breaker) success() {
 		return
 	}
 	b.consec = 0
-	b.recordLocked(false)
 }
 
 // failure records a failed attempt, tripping or re-opening as configured.
@@ -130,8 +105,7 @@ func (b *breaker) failure(now time.Time) {
 		b.trips++
 	case stateClosed:
 		b.consec++
-		b.recordLocked(true)
-		if b.consec >= b.cfg.threshold || b.rateTrippedLocked() {
+		if b.consec >= b.threshold {
 			b.tripLocked(now)
 		}
 	case stateOpen:
@@ -174,36 +148,10 @@ func (b *breaker) tripLocked(now time.Time) {
 	b.probing = false
 	b.trips++
 	b.consec = 0
-	b.ringN, b.ringPos = 0, 0
 }
 
 func (b *breaker) resetLocked() {
 	b.state = stateClosed
 	b.consec = 0
-	b.ringN, b.ringPos = 0, 0
 	b.probing = false
-}
-
-func (b *breaker) recordLocked(failed bool) {
-	b.ring[b.ringPos] = failed
-	b.ringPos = (b.ringPos + 1) % len(b.ring)
-	if b.ringN < len(b.ring) {
-		b.ringN++
-	}
-}
-
-// rateTrippedLocked reports whether a full outcome window's failure fraction
-// has reached the configured rate. It never fires on a partial window, so a
-// cold breaker cannot trip on its very first blip.
-func (b *breaker) rateTrippedLocked() bool {
-	if b.ringN < len(b.ring) {
-		return false
-	}
-	failed := 0
-	for _, f := range b.ring {
-		if f {
-			failed++
-		}
-	}
-	return float64(failed)/float64(len(b.ring)) >= b.cfg.rate
 }

@@ -7,7 +7,7 @@ import (
 
 func TestBreakerConsecutiveTripAndRecovery(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{threshold: 3, window: 8, rate: 0.5, cooldown: time.Second})
+	b := &breaker{threshold: 3, cooldown: time.Second}
 
 	if !b.allow(now) {
 		t.Fatal("a fresh breaker must allow requests")
@@ -61,7 +61,7 @@ func TestBreakerConsecutiveTripAndRecovery(t *testing.T) {
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{threshold: 2, window: 8, rate: 0.9, cooldown: time.Second})
+	b := &breaker{threshold: 2, cooldown: time.Second}
 	b.failure(now)
 	b.failure(now) // trips
 	now = now.Add(2 * time.Second)
@@ -87,7 +87,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 
 func TestBreakerProbeExpiryPreventsDeadlock(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{threshold: 1, window: 8, rate: 0.9, cooldown: time.Second})
+	b := &breaker{threshold: 1, cooldown: time.Second}
 	b.failure(now) // trips
 	now = now.Add(2 * time.Second)
 	if !b.allow(now) {
@@ -105,27 +105,40 @@ func TestBreakerProbeExpiryPreventsDeadlock(t *testing.T) {
 	}
 }
 
-func TestBreakerRateTrip(t *testing.T) {
+// TestBreakerTripsOnlyOnConsecutiveFailures pins the one trip rule: any
+// number of failures interleaved with successes never opens a closed
+// breaker — a backend failing every other request stays in rotation and the
+// retry path absorbs it — while threshold failures in a row do.
+func TestBreakerTripsOnlyOnConsecutiveFailures(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{threshold: 100, window: 4, rate: 0.5, cooldown: time.Second})
-	// Alternating failure/success never builds a consecutive run, but fills
-	// the window at a 50% failure rate.
+	b := &breaker{threshold: 3, cooldown: time.Second}
+	for i := 0; i < 100; i++ {
+		b.failure(now)
+		b.success()
+	}
+	if !b.allow(now) {
+		t.Fatal("alternating failure/success must never open a closed breaker")
+	}
+	if st, trips, _ := b.snapshot(); st != "closed" || trips != 0 {
+		t.Fatalf("state %s trips %d after alternating outcomes, want closed 0", st, trips)
+	}
 	b.failure(now)
-	b.success()
 	b.failure(now)
 	if !b.allow(now) {
-		t.Fatal("partial window must not rate-trip")
+		t.Fatal("threshold-1 consecutive failures must not trip")
 	}
-	b.success() // 4th outcome: window full at rate 0.5
 	b.failure(now)
 	if b.allow(now) {
-		t.Fatal("full window at the trip rate must open the breaker")
+		t.Fatal("threshold consecutive failures must open the breaker")
+	}
+	if st, trips, _ := b.snapshot(); st != "open" || trips != 1 {
+		t.Fatalf("state %s trips %d, want open 1", st, trips)
 	}
 }
 
 func TestBreakerEjectAndReinstate(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{cooldown: time.Second})
+	b := &breaker{threshold: 3, cooldown: time.Second}
 	b.eject(now)
 	if b.allow(now) {
 		t.Fatal("ejected breaker must short-circuit")

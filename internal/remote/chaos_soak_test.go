@@ -51,27 +51,26 @@ func runChaosSweep(t *testing.T, disableBreaker bool) soakOutcome {
 	proxy := httptest.NewServer(cp)
 	defer proxy.Close()
 
-	pool, err := NewPool(Options{
+	o := Options{
 		Backends:    []string{healthy.URL, proxy.URL},
-		MaxAttempts: 6,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
+		maxAttempts: 6,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  10 * time.Millisecond,
 		// Trip fast and cool down for 1s: the request path short-circuits
 		// the down backend almost immediately, and the prober (breaker-on
 		// only) reinstates it within a probe interval of the up transition.
-		DisableBreaker:   disableBreaker,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
-	})
+		disableBreaker:   disableBreaker,
+		breakerThreshold: 2,
+		breakerCooldown:  time.Second,
+	}
+	if !disableBreaker {
+		o.Probe = 250 * time.Millisecond
+	}
+	pool, err := NewPool(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !disableBreaker {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stop := pool.StartProber(ctx, 250*time.Millisecond)
-		defer stop()
-	}
+	defer pool.Close()
 
 	w, err := experiments.LoadSuiteJobs(1500, 0)
 	if err != nil {

@@ -54,11 +54,11 @@ func TestFlakyBackendsConvergeBitIdentical(t *testing.T) {
 
 	pool, err := NewPool(Options{
 		Backends:    urls,
-		MaxAttempts: 16, // a third of requests fault; leave headroom to converge
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
+		maxAttempts: 16, // a third of requests fault; leave headroom to converge
+		baseBackoff: time.Millisecond,
+		maxBackoff:  10 * time.Millisecond,
 		Hedge:       true,
-		HedgeFloor:  time.Millisecond,
+		hedgeFloor:  time.Millisecond,
 		VerifyEvery: 4,
 	})
 	if err != nil {

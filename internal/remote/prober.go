@@ -41,7 +41,7 @@ func canaryRequest() ([]byte, []byte, error) {
 			canaryErr = err
 			return
 		}
-		st, err := uarch.SimulateChecked(context.Background(), prog, cfg)
+		st, _, err := uarch.SimulateSampled(context.Background(), prog, cfg, uarch.Sampling{})
 		if err != nil {
 			canaryErr = fmt.Errorf("remote: canary reference run: %w", err)
 			return
@@ -63,7 +63,7 @@ type healthzBody struct {
 	Overloaded bool   `json:"overloaded"`
 }
 
-// StartProber launches the background health prober: every interval it
+// startProber launches the background health prober: every interval it
 // checks each backend's /healthz and, when the backend reports itself
 // neither draining nor overloaded, runs the canary simulation with a
 // known-answer check. A failed probe (or a canary answering wrong bytes)
@@ -72,13 +72,10 @@ type healthzBody struct {
 // canary reinstates it. The verdicts surface in Snapshot().Healthy and the
 // braidload/braidbench pool summaries.
 //
-// The prober stops when ctx is done or the returned stop function is called
-// (stop waits for the probe goroutine to exit).
-func (p *Pool) StartProber(ctx context.Context, interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	pctx, cancel := context.WithCancel(ctx)
+// The returned stop function ends the prober and waits for its goroutine
+// to exit; Pool.Close calls it.
+func (p *Pool) startProber(interval time.Duration) (stop func()) {
+	pctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,26 +44,28 @@ import (
 
 // Options configures a Pool. Zero fields take the documented defaults.
 type Options struct {
-	Backends    []string      // braidd base URLs (required)
-	MaxAttempts int           // tries per point across backends (default max(4, 2*len(Backends)))
-	BaseBackoff time.Duration // first retry delay (default 50ms)
-	MaxBackoff  time.Duration // retry delay ceiling (default 2s)
-	Timeout     time.Duration // per-attempt HTTP timeout (default 2m)
-	TimeoutMS   int64         // per-request simulation deadline sent to the server (0: server default)
-	Hedge       bool          // duplicate stragglers onto the next backend
-	HedgeFloor  time.Duration // lower bound on the hedge delay (default 25ms)
-	VerifyEvery int           // locally re-simulate every point whose key hashes to 0 mod N (0: off)
-	Replicas    int           // virtual nodes per backend on the ring (default 64)
-	Client      *http.Client  // HTTP client (default: fresh client, per-attempt timeout via context)
+	Backends    []string       // braidd base URLs (required)
+	Timeout     time.Duration  // per-attempt HTTP timeout (default 2m)
+	TimeoutMS   int64          // per-request simulation deadline sent to the server (0: server default)
+	Hedge       bool           // duplicate stragglers onto the next backend
+	VerifyEvery int            // locally re-simulate every point whose key hashes to 0 mod N (0: off)
+	Fallback    FallbackPolicy // what to do when every attempt fails (default FallbackFail)
+	Probe       time.Duration  // health-prober interval (0: no prober; see Pool.Close)
+	Client      *http.Client   // HTTP client (default: fresh client, per-attempt timeout via context)
 
-	Fallback       FallbackPolicy // what to do when every attempt fails (default FallbackFail)
-	DisableBreaker bool           // route to every backend regardless of breaker state
-
-	BreakerThreshold int           // consecutive failures that trip a backend's breaker (default 3)
-	BreakerWindow    int           // sliding outcome window for error-rate tripping (default 20)
-	BreakerRate      float64       // failure fraction over a full window that trips (default 0.5)
-	BreakerCooldown  time.Duration // open -> half-open probe delay (default 1s)
+	// Fixed policy. Zero takes the default; only in-package tests override
+	// these, to run fast or to switch the breakers off for comparison.
+	maxAttempts      int           // tries per point across backends (default max(4, 2*len(Backends)))
+	baseBackoff      time.Duration // first retry delay (default 50ms)
+	maxBackoff       time.Duration // retry delay ceiling (default 2s)
+	hedgeFloor       time.Duration // lower bound on the hedge delay (default 25ms)
+	disableBreaker   bool          // route to every backend regardless of breaker state
+	breakerThreshold int           // consecutive failures that trip a backend's breaker (default 3)
+	breakerCooldown  time.Duration // open -> half-open probe delay (default 1s)
 }
+
+// ringReplicas is the number of virtual nodes per backend on the ring.
+const ringReplicas = 64
 
 // FallbackPolicy selects what a Pool does when a point exhausts every
 // attempt (or every breaker is open): fail with a transient Unavailable, or
@@ -80,15 +83,25 @@ const (
 	FallbackLocal
 )
 
-// ParseFallback parses the -fallback flag value.
-func ParseFallback(s string) (FallbackPolicy, error) {
-	switch s {
-	case "", "fail":
-		return FallbackFail, nil
-	case "local":
-		return FallbackLocal, nil
+// String and Set make FallbackPolicy a flag.Value, so the CLIs declare
+// -fallback local|fail with flag.Var.
+func (f FallbackPolicy) String() string {
+	if f == FallbackLocal {
+		return "local"
 	}
-	return FallbackFail, fmt.Errorf("remote: unknown fallback policy %q (want local or fail)", s)
+	return "fail"
+}
+
+func (f *FallbackPolicy) Set(s string) error {
+	switch s {
+	case "fail":
+		*f = FallbackFail
+	case "local":
+		*f = FallbackLocal
+	default:
+		return fmt.Errorf("unknown fallback policy %q (want local or fail)", s)
+	}
+	return nil
 }
 
 // Pool routes simulation points to braidd backends.
@@ -113,8 +126,9 @@ type Pool struct {
 	probeFailures     atomic.Uint64 // health-prober checks that failed
 	canaryMismatches  atomic.Uint64 // canary simulations whose stats diverged
 
-	breakers []*breaker    // per-backend circuit breakers, indexed like backends
-	healthy  []atomic.Bool // prober's last verdict per backend (starts true)
+	breakers  []*breaker    // per-backend circuit breakers, indexed like backends
+	healthy   []atomic.Bool // prober's last verdict per backend (starts true)
+	stopProbe func()        // stops the prober; nil when Options.Probe is 0
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -160,11 +174,9 @@ type Result struct {
 	Verified   bool                  // cross-checked against local simulation
 }
 
-// NewPool validates o and builds a routing pool.
+// NewPool validates o and builds a routing pool without touching the
+// network. With o.Probe set it starts the health prober, which Close stops.
 func NewPool(o Options) (*Pool, error) {
-	if len(o.Backends) == 0 {
-		return nil, errors.New("remote: no backends")
-	}
 	backends := make([]string, 0, len(o.Backends))
 	for _, b := range o.Backends {
 		b = strings.TrimRight(strings.TrimSpace(b), "/")
@@ -179,26 +191,26 @@ func NewPool(o Options) (*Pool, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("remote: no backends")
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2 * len(backends)
-		if o.MaxAttempts < 4 {
-			o.MaxAttempts = 4
-		}
+	if o.maxAttempts <= 0 {
+		o.maxAttempts = max(4, 2*len(backends))
 	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 50 * time.Millisecond
+	if o.baseBackoff <= 0 {
+		o.baseBackoff = 50 * time.Millisecond
 	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
+	if o.maxBackoff <= 0 {
+		o.maxBackoff = 2 * time.Second
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
 	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = 25 * time.Millisecond
+	if o.hedgeFloor <= 0 {
+		o.hedgeFloor = 25 * time.Millisecond
 	}
-	if o.Replicas <= 0 {
-		o.Replicas = 64
+	if o.breakerThreshold <= 0 {
+		o.breakerThreshold = 3
+	}
+	if o.breakerCooldown <= 0 {
+		o.breakerCooldown = time.Second
 	}
 	client := o.Client
 	if client == nil {
@@ -206,7 +218,7 @@ func NewPool(o Options) (*Pool, error) {
 	}
 	p := &Pool{
 		backends:   backends,
-		ring:       newRing(backends, o.Replicas),
+		ring:       newRing(backends, ringReplicas),
 		client:     client,
 		opt:        o,
 		perBackend: make([]atomic.Uint64, len(backends)),
@@ -214,17 +226,47 @@ func NewPool(o Options) (*Pool, error) {
 		healthy:    make([]atomic.Bool, len(backends)),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	bcfg := breakerConfig{
-		threshold: o.BreakerThreshold,
-		window:    o.BreakerWindow,
-		rate:      o.BreakerRate,
-		cooldown:  o.BreakerCooldown,
-	}
 	for i := range p.breakers {
-		p.breakers[i] = newBreaker(bcfg)
+		p.breakers[i] = &breaker{threshold: o.breakerThreshold, cooldown: o.breakerCooldown}
 		p.healthy[i].Store(true)
 	}
+	if o.Probe > 0 {
+		p.stopProbe = p.startProber(o.Probe)
+	}
 	return p, nil
+}
+
+// Dial is the bring-up every fleet CLI shares: NewPool, then Ping —
+// repeated until every backend answers or wait has passed, once when wait
+// is 0. It fails when no backend answers; backends still unreachable are
+// tolerated (the ring fails over around them) and named on stderr. Call
+// Close when done.
+func Dial(ctx context.Context, o Options, wait time.Duration) (*Pool, error) {
+	p, err := NewPool(o)
+	if err != nil {
+		return nil, err
+	}
+	deadline := time.Now().Add(wait)
+	down, err := p.Ping(ctx)
+	for (err != nil || len(down) > 0) && time.Now().Before(deadline) && ctx.Err() == nil {
+		time.Sleep(100 * time.Millisecond)
+		down, err = p.Ping(ctx)
+	}
+	if err != nil {
+		p.Close()
+		return nil, err
+	}
+	if len(down) > 0 {
+		fmt.Fprintf(os.Stderr, "remote: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
+	}
+	return p, nil
+}
+
+// Close stops the health prober, if Options.Probe started one.
+func (p *Pool) Close() {
+	if p.stopProbe != nil {
+		p.stopProbe()
+	}
 }
 
 // Backends returns the normalized backend base URLs.
@@ -294,28 +336,14 @@ func (p *Pool) String() string {
 // fleet fails before suite preparation rather than after. Unreachable
 // backends are tolerated (the ring fails over around them) and reported.
 func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
-	up := 0
-	for _, b := range p.backends {
-		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		req, rerr := http.NewRequestWithContext(rctx, http.MethodGet, b+"/healthz", nil)
-		if rerr == nil {
-			var resp *http.Response
-			if resp, rerr = p.client.Do(req); rerr == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					rerr = fmt.Errorf("healthz status %d", resp.StatusCode)
-				}
-			}
+	for i, b := range p.backends {
+		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		if _, err := p.checkHealthz(hctx, i); err != nil {
+			down = append(down, b)
 		}
 		cancel()
-		if rerr != nil {
-			down = append(down, b)
-		} else {
-			up++
-		}
 	}
-	if up == 0 {
+	if len(down) == len(p.backends) {
 		return down, fmt.Errorf("remote: no live backend among %s", strings.Join(p.backends, ","))
 	}
 	return down, nil
@@ -361,10 +389,10 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 	cands := p.ring.candidates(key)
 
 	var res *Result
-	if p.opt.Hedge && p.opt.MaxAttempts > 1 {
+	if p.opt.Hedge && p.opt.maxAttempts > 1 {
 		res, err = p.runHedged(ctx, key, body, cands)
 	} else {
-		res, err = p.runAttempts(ctx, key, body, cands, p.opt.MaxAttempts)
+		res, err = p.runAttempts(ctx, key, body, cands, p.opt.maxAttempts)
 	}
 	if err != nil {
 		var un *Unavailable
@@ -438,7 +466,7 @@ func (p *Pool) runHedged(ctx context.Context, key string, body []byte, cands []i
 	attemptCtx[0], attemptCancel[0] = context.WithCancel(ctx)
 	defer attemptCancel[0]()
 	ch := make(chan out, 2)
-	primaryAttempts := p.opt.MaxAttempts - 1
+	primaryAttempts := p.opt.maxAttempts - 1
 	if primaryAttempts < 1 {
 		primaryAttempts = 1
 	}
@@ -490,7 +518,7 @@ func (p *Pool) runHedged(ctx context.Context, key string, body []byte, cands []i
 	}
 }
 
-// hedgeDelay is the pool's p95 observed latency, floored by HedgeFloor;
+// hedgeDelay is the pool's p95 observed latency, floored by hedgeFloor;
 // before enough samples accumulate it is a conservative fixed delay.
 func (p *Pool) hedgeDelay() time.Duration {
 	p.latMu.Lock()
@@ -502,16 +530,16 @@ func (p *Pool) hedgeDelay() time.Duration {
 	p.latMu.Unlock()
 	if sample == nil {
 		d := 250 * time.Millisecond
-		if d < p.opt.HedgeFloor {
-			d = p.opt.HedgeFloor
+		if d < p.opt.hedgeFloor {
+			d = p.opt.hedgeFloor
 		}
 		return d
 	}
 	sort.Float64s(sample)
 	p95 := sample[(len(sample)*95)/100]
 	d := time.Duration(p95 * float64(time.Millisecond))
-	if d < p.opt.HedgeFloor {
-		d = p.opt.HedgeFloor
+	if d < p.opt.hedgeFloor {
+		d = p.opt.hedgeFloor
 	}
 	return d
 }
@@ -538,7 +566,7 @@ func (p *Pool) pickBackend(cands []int, attempt int, now time.Time) (int, bool) 
 	n := len(cands)
 	for off := 0; off < n; off++ {
 		c := cands[(attempt+off)%n]
-		if p.opt.DisableBreaker || p.breakers[c].allow(now) {
+		if p.opt.disableBreaker || p.breakers[c].allow(now) {
 			return c, true
 		}
 		p.shortCircuits.Add(1)
@@ -551,7 +579,7 @@ func (p *Pool) pickBackend(cands []int, attempt int, now time.Time) (int, bool) 
 // shedding — so it counts as breaker success even though the attempt
 // failed; tripping on shed would amplify a load spike into an ejection.
 func (p *Pool) noteOutcome(idx int, failed bool, now time.Time) {
-	if p.opt.DisableBreaker {
+	if p.opt.disableBreaker {
 		return
 	}
 	if failed {
@@ -619,16 +647,7 @@ func (p *Pool) runAttempts(ctx context.Context, key string, body []byte, cands [
 // downstream byte-equality consumers cannot tell the difference.
 func (p *Pool) runLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*Result, error) {
 	p.localFallbacks.Add(1)
-	var (
-		st  *uarch.Stats
-		est *uarch.SampleEstimate
-		err error
-	)
-	if sp.Enabled() {
-		st, est, err = uarch.SimulateSampled(ctx, prog, cfg, sp)
-	} else {
-		st, err = uarch.SimulateChecked(ctx, prog, cfg)
-	}
+	st, est, err := uarch.SimulateSampled(ctx, prog, cfg, sp)
 	if err != nil {
 		return nil, err // already in the local taxonomy
 	}
@@ -643,14 +662,14 @@ func (p *Pool) runLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config
 // sleepBackoff waits out the exponential backoff (with ±50% jitter) or the
 // server's Retry-After hint, whichever the server asked for, respecting ctx.
 func (p *Pool) sleepBackoff(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	d := p.opt.BaseBackoff << uint(attempt)
-	if d > p.opt.MaxBackoff || d <= 0 {
-		d = p.opt.MaxBackoff
+	d := p.opt.baseBackoff << uint(attempt)
+	if d > p.opt.maxBackoff || d <= 0 {
+		d = p.opt.maxBackoff
 	}
 	if retryAfter > 0 {
 		d = retryAfter
-		if d > p.opt.MaxBackoff {
-			d = p.opt.MaxBackoff // a long hint should not stall failover
+		if d > p.opt.maxBackoff {
+			d = p.opt.maxBackoff // a long hint should not stall failover
 		}
 	}
 	p.rngMu.Lock()
@@ -757,7 +776,7 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 // retryAfterDuration parses a Retry-After header in either RFC 9110 form:
 // delta-seconds ("120") or an HTTP-date ("Fri, 07 Aug 2026 12:00:00 GMT").
 // A hint in the past, zero, or unparseable is no hint at all. The caller
-// (sleepBackoff) caps whatever this returns at MaxBackoff, so a confused
+// (sleepBackoff) caps whatever this returns at maxBackoff, so a confused
 // server cannot stall failover.
 func retryAfterDuration(s string, now time.Time) time.Duration {
 	s = strings.TrimSpace(s)
@@ -825,36 +844,31 @@ const verifyTolerance = 1e-9
 // architectural counts (retired/fetched — same trace either way) and on IPC
 // within verifyTolerance.
 func (p *Pool) verifyLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling, res *Result) error {
-	if sp.Enabled() {
-		st, _, err := uarch.SimulateSampled(ctx, prog, cfg, sp)
-		if err != nil {
-			return &VerifyError{Backend: res.Backend, Program: prog.Name,
-				Detail: fmt.Sprintf("local sampled run failed where remote succeeded: %v", err)}
-		}
-		if st.Retired != res.Stats.Retired || st.Fetched != res.Stats.Fetched {
-			return &VerifyError{Backend: res.Backend, Program: prog.Name,
-				Detail: fmt.Sprintf("sampled architectural counts diverge: remote retired/fetched %d/%d, local %d/%d",
-					res.Stats.Retired, res.Stats.Fetched, st.Retired, st.Fetched)}
-		}
-		local, rem := st.IPC(), res.Stats.IPC()
-		if local == 0 || math.Abs(rem-local)/local > verifyTolerance {
-			return &VerifyError{Backend: res.Backend, Program: prog.Name,
-				Detail: fmt.Sprintf("sampled IPC diverges beyond tolerance: remote %.12f, local %.12f", rem, local)}
-		}
-		return nil
-	}
-	st, err := uarch.SimulateChecked(ctx, prog, cfg)
+	st, _, err := uarch.SimulateSampled(ctx, prog, cfg, sp)
 	if err != nil {
 		return &VerifyError{Backend: res.Backend, Program: prog.Name,
 			Detail: fmt.Sprintf("local run failed where remote succeeded: %v", err)}
 	}
-	want, err := json.Marshal(st)
-	if err != nil {
-		return err
+	if !sp.Enabled() {
+		want, err := json.Marshal(st)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(want, res.RawStats) {
+			return &VerifyError{Backend: res.Backend, Program: prog.Name,
+				Detail: fmt.Sprintf("remote %s != local %s", res.RawStats, want)}
+		}
+		return nil
 	}
-	if !bytes.Equal(want, res.RawStats) {
+	if st.Retired != res.Stats.Retired || st.Fetched != res.Stats.Fetched {
 		return &VerifyError{Backend: res.Backend, Program: prog.Name,
-			Detail: fmt.Sprintf("remote %s != local %s", res.RawStats, want)}
+			Detail: fmt.Sprintf("sampled architectural counts diverge: remote retired/fetched %d/%d, local %d/%d",
+				res.Stats.Retired, res.Stats.Fetched, st.Retired, st.Fetched)}
+	}
+	local, rem := st.IPC(), res.Stats.IPC()
+	if local == 0 || math.Abs(rem-local)/local > verifyTolerance {
+		return &VerifyError{Backend: res.Backend, Program: prog.Name,
+			Detail: fmt.Sprintf("sampled IPC diverges beyond tolerance: remote %.12f, local %.12f", rem, local)}
 	}
 	return nil
 }

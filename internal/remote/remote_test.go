@@ -149,14 +149,14 @@ func TestRoutingStickiness(t *testing.T) {
 }
 
 // TestRetryHonors429: a shed backend with a Retry-After hint is retried (with
-// the hint capped by MaxBackoff, so a long hint cannot stall failover) until
+// the hint capped by maxBackoff, so a long hint cannot stall failover) until
 // it recovers.
 func TestRetryHonors429(t *testing.T) {
 	var calls atomic.Int64
 	st, _ := json.Marshal(&uarch.Stats{Cycles: 1, Retired: 1})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "30") // way beyond MaxBackoff
+			w.Header().Set("Retry-After", "30") // way beyond maxBackoff
 			w.WriteHeader(http.StatusTooManyRequests)
 			return
 		}
@@ -166,8 +166,8 @@ func TestRetryHonors429(t *testing.T) {
 
 	pool, err := NewPool(Options{
 		Backends:    []string{ts.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +199,8 @@ func TestFailoverAroundDeadBackend(t *testing.T) {
 
 	pool, err := NewPool(Options{
 		Backends:    []string{dead.URL, live.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestTerminalErrorsTranslate(t *testing.T) {
 			w.WriteHeader(tc.status)
 			fmt.Fprintf(w, `{"error":{"kind":%q,"message":"boom","cycle":42}}`, tc.kind)
 		}))
-		pool, err := NewPool(Options{Backends: []string{ts.URL}, BaseBackoff: time.Millisecond})
+		pool, err := NewPool(Options{Backends: []string{ts.URL}, baseBackoff: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,9 +277,9 @@ func TestAllBackendsDownIsTransient(t *testing.T) {
 	dead.Close()
 	pool, err := NewPool(Options{
 		Backends:    []string{dead.URL},
-		MaxAttempts: 3,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		maxAttempts: 3,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,6 +298,24 @@ func TestAllBackendsDownIsTransient(t *testing.T) {
 	if _, err := pool.Ping(context.Background()); err == nil {
 		t.Error("Ping succeeded against a dead fleet")
 	}
+}
+
+// TestDialNeedsOneLiveBackend: the CLIs' shared bring-up refuses a dead
+// fleet even after waiting for it, and tolerates a dead backend next to a
+// live one.
+func TestDialNeedsOneLiveBackend(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	dead.Close()
+	if _, err := Dial(context.Background(), Options{Backends: []string{dead.URL}}, 200*time.Millisecond); err == nil {
+		t.Fatal("Dial succeeded against a dead fleet")
+	}
+	live := httptest.NewServer(service.New(service.Config{Workers: 1}).Handler())
+	defer live.Close()
+	pool, err := Dial(context.Background(), Options{Backends: []string{dead.URL, live.URL}, Probe: 10 * time.Millisecond}, 0)
+	if err != nil {
+		t.Fatalf("one live backend must be enough: %v", err)
+	}
+	pool.Close()
 }
 
 // TestHedgeWinsOnStraggler: a point owned by a stalled backend is answered by
@@ -326,7 +344,7 @@ func TestHedgeWinsOnStraggler(t *testing.T) {
 	pool, err := NewPool(Options{
 		Backends:   []string{slow.URL, fast.URL},
 		Hedge:      true,
-		HedgeFloor: time.Millisecond,
+		hedgeFloor: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +498,8 @@ func TestHedgeCancelsLoser(t *testing.T) {
 	defer fast.Close()
 
 	pool, err := NewPool(Options{
-		Backends: []string{slow.URL, fast.URL}, Hedge: true, MaxAttempts: 2,
-		HedgeFloor: 10 * time.Millisecond,
+		Backends: []string{slow.URL, fast.URL}, Hedge: true, maxAttempts: 2,
+		hedgeFloor: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +580,7 @@ func TestHedgedLoserFreesWorker(t *testing.T) {
 
 	pool, err := NewPool(Options{
 		Backends: []string{backends[0].URL, backends[1].URL}, Hedge: true,
-		MaxAttempts: 2, HedgeFloor: 10 * time.Millisecond,
+		maxAttempts: 2, hedgeFloor: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

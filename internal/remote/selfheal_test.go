@@ -44,7 +44,7 @@ func TestRetryAfterDuration(t *testing.T) {
 
 // TestRetryHonorsHTTPDateRetryAfter is the end-to-end shape of the new
 // Retry-After form: a backend shedding with an HTTP-date far in the future
-// must still be retried promptly, because MaxBackoff caps the hint.
+// must still be retried promptly, because maxBackoff caps the hint.
 func TestRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 	n := 0
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -59,9 +59,9 @@ func TestRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 	defer ts.Close()
 	pool, err := NewPool(Options{
 		Backends:    []string{ts.URL},
-		MaxAttempts: 4,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
+		maxAttempts: 4,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 		t.Errorf("attempts = %d, want 3 (two dated 429s then success)", res.Attempts)
 	}
 	if d := time.Since(t0); d > 2*time.Second {
-		t.Errorf("an hour-long HTTP-date hint stalled retries for %v; MaxBackoff must cap it", d)
+		t.Errorf("an hour-long HTTP-date hint stalled retries for %v; maxBackoff must cap it", d)
 	}
 }
 
@@ -110,9 +110,9 @@ func TestIntegrityCheckCatchesCorruptedBody(t *testing.T) {
 
 	pool, err := NewPool(Options{
 		Backends:    []string{proxy.URL},
-		MaxAttempts: 6,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
+		maxAttempts: 6,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,12 +154,12 @@ func TestIntegrityCheckCatchesCorruptedBody(t *testing.T) {
 func TestFallbackLocalBitIdentical(t *testing.T) {
 	pool, err := NewPool(Options{
 		Backends:         []string{"127.0.0.1:1"}, // nothing listens here
-		MaxAttempts:      2,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       2 * time.Millisecond,
+		maxAttempts:      2,
+		baseBackoff:      time.Millisecond,
+		maxBackoff:       2 * time.Millisecond,
 		Fallback:         FallbackLocal,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // once tripped, short-circuit for the whole test
+		breakerThreshold: 2,
+		breakerCooldown:  time.Hour, // once tripped, short-circuit for the whole test
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +271,9 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 func TestFallbackFailStaysTransient(t *testing.T) {
 	pool, err := NewPool(Options{
 		Backends:    []string{"127.0.0.1:1"},
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		maxAttempts: 2,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -306,14 +306,11 @@ func TestProberEjectsAndReintegrates(t *testing.T) {
 	proxy := httptest.NewServer(cp)
 	defer proxy.Close()
 
-	pool, err := NewPool(Options{Backends: []string{healthy.URL, proxy.URL}})
+	pool, err := NewPool(Options{Backends: []string{healthy.URL, proxy.URL}, Probe: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stop := pool.StartProber(ctx, 25*time.Millisecond)
-	defer stop()
+	defer pool.Close()
 
 	waitFor := func(desc string, cond func(Stats) bool) {
 		t.Helper()
@@ -358,14 +355,11 @@ func TestCanaryMismatchEjects(t *testing.T) {
 	proxy := httptest.NewServer(cp)
 	defer proxy.Close()
 
-	pool, err := NewPool(Options{Backends: []string{proxy.URL}})
+	pool, err := NewPool(Options{Backends: []string{proxy.URL}, Probe: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stop := pool.StartProber(ctx, 25*time.Millisecond)
-	defer stop()
+	defer pool.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -45,7 +45,6 @@ type Config struct {
 	MaxCycles    uint64        // per-request simulated-cycle ceiling (default 50M)
 	MaxSimTime   time.Duration // per-request wall-clock ceiling (default 30s)
 	MaxBodyBytes int64         // request-body limit (default 8 MiB)
-	MaxBatch     int           // items allowed in one /v1/batch call (default 64)
 	AccessLog    io.Writer     // structured JSON access log (nil: disabled)
 }
 
@@ -70,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	return c
 }
@@ -115,7 +111,6 @@ func New(cfg Config) *Server {
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -224,66 +219,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// BatchRequest is the body of POST /v1/batch: the requests run concurrently
-// through the same admission pool, but items wait for a queue position
-// instead of being shed, so one batch admits itself gradually rather than
-// tripping its own backpressure.
-type BatchRequest struct {
-	Requests []SimRequest `json:"requests"`
-}
-
-// BatchItem is one per-request outcome inside a BatchResponse.
-type BatchItem struct {
-	Status int          `json:"status"`
-	Result *SimResponse `json:"result,omitempty"`
-	Error  *ErrorBody   `json:"error,omitempty"`
-}
-
-// BatchResponse is the body of a /v1/batch reply; Items aligns with the
-// request order.
-type BatchResponse struct {
-	Items []BatchItem `json:"items"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Message: err.Error()})
-		return
-	}
-	if len(req.Requests) == 0 || len(req.Requests) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind:    "bad_request",
-			Message: fmt.Sprintf("batch size must be 1..%d, got %d", s.cfg.MaxBatch, len(req.Requests)),
-		})
-		return
-	}
-	items := make([]BatchItem, len(req.Requests))
-	var wg sync.WaitGroup
-	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b, err := Build(&req.Requests[i], Limits{MaxCycles: s.cfg.MaxCycles, MaxSimTime: s.cfg.MaxSimTime})
-			if err != nil {
-				status, body := buildErrorBody(err)
-				items[i] = BatchItem{Status: status, Error: &body}
-				return
-			}
-			res, err := s.runSim(r.Context(), b, false)
-			if err != nil {
-				status, body := simErrorBody(err)
-				items[i] = BatchItem{Status: status, Error: &body}
-				return
-			}
-			resp := s.response(b, res)
-			items[i] = BatchItem{Status: http.StatusOK, Result: &resp}
-		}(i)
-	}
-	wg.Wait()
-	s.writeJSON(w, http.StatusOK, BatchResponse{Items: items})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -308,7 +243,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // runSim resolves one built simulation: result cache, then coalescing onto
 // an identical in-progress run, then the admission queue and a worker slot,
 // then the simulator itself under the request deadline. shed selects
-// fail-fast admission (interactive requests) over waiting (batch items).
+// fail-fast admission (client requests) over waiting (health-prober
+// canaries).
 //
 // A cache miss is counted only for the flight leader — the request that
 // actually puts demand on the simulator. Followers count as coalesced, and
@@ -386,16 +322,7 @@ func (s *Server) lead(ctx context.Context, key string, b *Built, shed bool) (*ua
 	simCtx, cancel := context.WithTimeout(ctx, b.Timeout)
 	defer cancel()
 	t0 := time.Now()
-	var (
-		st  *uarch.Stats
-		est *uarch.SampleEstimate
-		err error
-	)
-	if b.Sampling.Enabled() {
-		st, est, err = uarch.SimulateSampled(simCtx, b.Program, b.Config, b.Sampling)
-	} else {
-		st, err = uarch.SimulateChecked(simCtx, b.Program, b.Config)
-	}
+	st, est, err := uarch.SimulateSampled(simCtx, b.Program, b.Config, b.Sampling)
 	return st, est, float64(time.Since(t0).Nanoseconds()) / 1e6, err
 }
 
