@@ -130,8 +130,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "braidbench: preparing 26-benchmark suite (~%d dynamic instructions each, %d workers)\n",
-		*dyn, *jobs)
+	fmt.Fprintf(os.Stderr, "braidbench: preparing 26-benchmark suite (~%d dynamic instructions each)\n", *dyn)
 	w, err := experiments.LoadSuiteCtx(ctx, *dyn, *jobs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
@@ -182,12 +181,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
 			os.Exit(1)
 		}
-		defer w.CloseCheckpoint()
 		if *resume {
 			fmt.Fprintf(os.Stderr, "braidbench: resumed %d finished simulations from %s\n", restored, *checkpoint)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "braidbench: suite ready in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "braidbench: suite ready in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), w.Jobs())
 
 	exit := 0
 	for _, e := range todo {
@@ -200,7 +198,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "; rerun with -checkpoint %s -resume to continue", *checkpoint)
 			}
 			fmt.Fprintln(os.Stderr)
-			w.CloseCheckpoint()
+			if err := w.CloseCheckpoint(); err != nil {
+				fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
+			}
 			os.Exit(130)
 		case err != nil:
 			// A non-contained failure kills this experiment but not the
@@ -258,7 +258,7 @@ func main() {
 			Seconds:       secs,
 			MIPS:          float64(w.SimDetailedInstrs()) / secs / 1e6,
 			EffectiveMIPS: float64(w.SimInstrs()) / secs / 1e6,
-			Jobs:          *jobs,
+			Jobs:          w.Jobs(),
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -267,8 +267,11 @@ func main() {
 			exit = 1
 		}
 	}
+	if err := w.CloseCheckpoint(); err != nil {
+		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
+		exit = 1
+	}
 	if exit != 0 {
-		w.CloseCheckpoint() // os.Exit skips the defer
 		os.Exit(exit)
 	}
 }

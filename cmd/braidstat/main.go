@@ -199,6 +199,7 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 	errs := make([]error, len(profs))
 	var ckpt *os.File
 	var ckptMu sync.Mutex
+	var ckptErr error // first write error; reported once the suite is printed
 	if ckptPath != "" {
 		if resume {
 			done, err := loadStatCheckpoint(ckptPath, iters, valuesOnly, sim != nil, sampStr, complexity)
@@ -218,7 +219,6 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		ckpt = f
 	}
 
@@ -242,7 +242,9 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 					rec := statRecord{Name: profs[i].Name, Iters: iters, ValuesOnly: valuesOnly, IPC: sim != nil, Sampling: sampStr, Complexity: complexity, Model: uarch.ModelVersion, Report: reports[i]}
 					if data, err := json.Marshal(&rec); err == nil {
 						ckptMu.Lock()
-						ckpt.Write(append(data, '\n')) // one write: a crash tears at most the last line
+						if ckptErr == nil { // one write: a crash tears at most the last line
+							_, ckptErr = ckpt.Write(append(data, '\n'))
+						}
 						ckptMu.Unlock()
 					}
 				}
@@ -271,6 +273,14 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 			fatal(fmt.Errorf("%s: %w", prof.Name, errs[i]))
 		}
 		fmt.Printf("--- %s ---\n%s", prof.Name, reports[i])
+	}
+	if ckpt != nil {
+		if err := ckpt.Close(); ckptErr == nil {
+			ckptErr = err
+		}
+		if ckptErr != nil {
+			fatal(fmt.Errorf("checkpoint: %w", ckptErr))
+		}
 	}
 }
 

@@ -13,6 +13,14 @@
 // interruptions — Ctrl-C, then rerun with -checkpoint f -resume, converges to
 // the same front as an undisturbed run.
 //
+// -checkpoint is braidbench's point checkpoint: every completed simulation
+// is appended under its point key. -resume reloads those points and reruns
+// the search from generation 0; the search is deterministic, so it retraces
+// the interrupted run, every finished point is a memo hit, and only the
+// unfinished ones simulate. A resume under changed flags is not refused:
+// points whose key still matches are reused, the rest simulate, and the
+// front is the one an uninterrupted run with the new flags would give.
+//
 // Usage:
 //
 //	braidtune -budget 200 -seed 1 -front BENCH_pareto.json
@@ -54,8 +62,8 @@ func main() {
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations (0: one per processor)")
 		workloads  = flag.String("workloads", "", "comma-separated benchmark subset (empty: whole suite)")
 		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup]; empty runs exact")
-		checkpoint = flag.String("checkpoint", "", "append completed generations to this JSONL file")
-		resume     = flag.Bool("resume", false, "reload finished generations from -checkpoint before searching")
+		checkpoint = flag.String("checkpoint", "", "append completed simulations to this JSONL file")
+		resume     = flag.Bool("resume", false, "reload finished points from -checkpoint before searching")
 		frontOut   = flag.String("front", "", "write the final front as JSON to this file ('-': stdout)")
 		crashDir   = flag.String("crashdir", "crashes", "directory for simulator-fault repro artifacts")
 		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0: none)")
@@ -82,7 +90,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "braidtune: preparing suite (~%d dynamic instructions each, %d workers)\n", *dyn, *jobs)
+	fmt.Fprintf(os.Stderr, "braidtune: preparing suite (~%d dynamic instructions each)\n", *dyn)
 	w, err := experiments.LoadSuiteCtx(ctx, *dyn, *jobs)
 	if err != nil {
 		fatal(err)
@@ -124,32 +132,20 @@ func main() {
 		Log:           os.Stderr,
 	}
 
-	var ck *explore.Checkpoint
 	if *checkpoint != "" {
-		meta := explore.Meta{
-			Seed:      *seed,
-			Pop:       *pop,
-			Budget:    *budget,
-			Workloads: names,
-			Sampling:  samplingKey(sampling),
-			DynTarget: *dyn,
-			Inject:    *inject,
-		}
-		ck, err = explore.OpenCheckpoint(*checkpoint, meta, *resume)
+		restored, err := w.OpenCheckpoint(*checkpoint, *resume)
 		if err != nil {
 			fatal(err)
 		}
-		defer ck.Close()
-		if *resume && ck.Generations() > 0 {
-			fmt.Fprintf(os.Stderr, "braidtune: resumed %d finished generations from %s\n",
-				ck.Generations(), *checkpoint)
+		if *resume {
+			fmt.Fprintf(os.Stderr, "braidtune: resumed %d finished simulations from %s\n", restored, *checkpoint)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "braidtune: suite ready in %v; searching (%d workloads, pop %d, budget %d, seed %d)\n",
-		time.Since(start).Round(time.Millisecond), len(benches), *pop, *budget, *seed)
+	fmt.Fprintf(os.Stderr, "braidtune: suite ready in %v; searching (%d workloads, pop %d, budget %d, seed %d, %d workers)\n",
+		time.Since(start).Round(time.Millisecond), len(benches), *pop, *budget, *seed, w.Jobs())
 
-	res, err := explore.Search(ctx, w, benches, opt, ck)
+	res, err := explore.Search(ctx, w, benches, opt)
 	if err != nil {
 		if errors.Is(err, uarch.ErrCanceled) || errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "braidtune: interrupted")
@@ -157,8 +153,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "; rerun with -checkpoint %s -resume to continue", *checkpoint)
 			}
 			fmt.Fprintln(os.Stderr)
-			if ck != nil {
-				ck.Close()
+			if err := w.CloseCheckpoint(); err != nil {
+				fmt.Fprintf(os.Stderr, "braidtune: %v\n", err)
 			}
 			os.Exit(130)
 		}
@@ -179,6 +175,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "braidtune: %d generations, %d design points, %d simulations, front digest %s, %v total\n",
 		res.Generations, res.Evaluations, w.SimRuns(), res.Digest[:12], time.Since(start).Round(time.Millisecond))
+	if err := w.CloseCheckpoint(); err != nil {
+		fatal(err)
+	}
 }
 
 // report prints the front as a text table with the two reference machines
@@ -236,12 +235,24 @@ func referencePoints(w *experiments.Workloads, benches []*experiments.Bench) []r
 
 // frontFile is the -front JSON schema (BENCH_pareto.json).
 type frontFile struct {
-	Meta        explore.Meta `json:"meta"`
+	Meta        frontMeta    `json:"meta"`
 	Generations int          `json:"generations"`
 	Evaluations int          `json:"evaluations"`
 	Digest      string       `json:"digest"`
 	Reference   []refPoint   `json:"reference"`
 	Front       []frontEntry `json:"front"`
+}
+
+// frontMeta pins the parameters a front was searched under.
+type frontMeta struct {
+	Lattice   int      `json:"lattice"` // explore.LatticeVersion the genomes index into
+	Model     int      `json:"model"`   // uarch.ModelVersion the evaluations ran under
+	Seed      int64    `json:"seed"`
+	Pop       int      `json:"pop"`
+	Budget    int      `json:"budget"`
+	Workloads []string `json:"workloads"`
+	Sampling  string   `json:"sampling,omitempty"` // uarch.Sampling.String(), "" exact
+	DynTarget uint64   `json:"dyn_target"`         // suite calibration target
 }
 
 type frontEntry struct {
@@ -252,7 +263,7 @@ type frontEntry struct {
 func writeFront(w *experiments.Workloads, benches []*experiments.Bench, res *explore.Result,
 	seed int64, pop, budget int, names []string, sampling uarch.Sampling, dyn uint64, path string) error {
 	ff := frontFile{
-		Meta: explore.Meta{
+		Meta: frontMeta{
 			Lattice: explore.LatticeVersion,
 			Model:   uarch.ModelVersion,
 			Seed:    seed, Pop: pop, Budget: budget,
@@ -280,7 +291,7 @@ func writeFront(w *experiments.Workloads, benches []*experiments.Bench, res *exp
 	return enc.Encode(ff)
 }
 
-// samplingKey renders the sampling geometry for checkpoint meta ("" = exact).
+// samplingKey renders the sampling geometry for the front's meta ("" = exact).
 func samplingKey(sp uarch.Sampling) string {
 	if !sp.Enabled() {
 		return ""

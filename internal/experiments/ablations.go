@@ -38,17 +38,12 @@ func AblationByID(id string) (Experiment, bool) {
 // early release that lets 8 external registers suffice.
 func AblDeadValue(w *Workloads) (*Result, error) {
 	r := newResult("abl-deadvalue", "braid IPC without dead-value release, normalized to with")
-	base := uarch.BraidConfig(8)
-	series := []string{"retire-release", "retire-release-rf32"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		cfg.DeadValueRelease = false
-		if s == "retire-release-rf32" {
-			cfg.RFEntries = 32
-		}
-		return cfg
-	}
-	if err := sweep(w, r, true, base, series, mk); err != nil {
+	retire := uarch.BraidConfig(8)
+	retire.DeadValueRelease = false
+	retire32 := retire
+	retire32.RFEntries = 32
+	series := []variant{{"retire-release", true, retire}, {"retire-release-rf32", true, retire32}}
+	if err := sweep(w, r, braid8(), series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("8-entry RF needs dead-value release (off/on ratio)", 0.9, r.Average("retire-release", "all"))
@@ -60,13 +55,9 @@ func AblDeadValue(w *Workloads) (*Result, error) {
 // AblWakeup sweeps the busy-bit synchronization latency across BEUs.
 func AblWakeup(w *Workloads) (*Result, error) {
 	r := newResult("abl-wakeup", "braid IPC vs busy-bit wakeup latency, normalized to 1 cycle")
-	series := []string{"0", "2", "4"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		fmt.Sscanf(s, "%d", &cfg.ExtWakeupExtra)
-		return cfg
-	}
-	if err := sweep(w, r, true, uarch.BraidConfig(8), series, mk); err != nil {
+	series := vary(true, uarch.BraidConfig(8), []int{0, 2, 4},
+		func(c *uarch.Config, n int) { c.ExtWakeupExtra = n })
+	if err := sweep(w, r, braid8(), series); err != nil {
 		return nil, err
 	}
 	r.Notes = append(r.Notes,
@@ -78,26 +69,15 @@ func AblWakeup(w *Workloads) (*Result, error) {
 // inter-cluster communication.
 func AblCluster(w *Workloads) (*Result, error) {
 	r := newResult("abl-cluster", "braid IPC with clustered BEUs, normalized to unclustered")
-	type cc struct {
-		name     string
-		clusters int
-		delay    int
-	}
-	cfgs := []cc{{"2cl/+1", 2, 1}, {"2cl/+4", 2, 4}, {"4cl/+1", 4, 1}, {"4cl/+4", 4, 4}}
-	series := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		series[i] = c.name
-	}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		for _, c := range cfgs {
-			if c.name == s {
-				cfg.Clusters, cfg.InterClusterDelay = c.clusters, c.delay
-			}
+	var series []variant
+	for _, clusters := range []int{2, 4} {
+		for _, delay := range []int{1, 4} {
+			cfg := uarch.BraidConfig(8)
+			cfg.Clusters, cfg.InterClusterDelay = clusters, delay
+			series = append(series, variant{fmt.Sprintf("%dcl/+%d", clusters, delay), true, cfg})
 		}
-		return cfg
 	}
-	if err := sweep(w, r, true, uarch.BraidConfig(8), series, mk); err != nil {
+	if err := sweep(w, r, braid8(), series); err != nil {
 		return nil, err
 	}
 	r.Notes = append(r.Notes,
@@ -109,13 +89,9 @@ func AblCluster(w *Workloads) (*Result, error) {
 // the design the paper considered and rejected (§5.1).
 func AblWindowOoO(w *Workloads) (*Result, error) {
 	r := newResult("abl-window", "braid IPC with a full out-of-order BEU window, normalized to window 2")
-	series := []string{"window=fifo"}
-	mk := func(string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		cfg.BEUWindow = cfg.BEUFIFO
-		return cfg
-	}
-	if err := sweep(w, r, true, uarch.BraidConfig(8), series, mk); err != nil {
+	cfg := uarch.BraidConfig(8)
+	cfg.BEUWindow = cfg.BEUFIFO
+	if err := sweep(w, r, braid8(), []variant{{"window=fifo", true, cfg}}); err != nil {
 		return nil, err
 	}
 	r.AddClaim("an out-of-order BEU scheduler buys almost nothing", 1.0, r.Average("window=fifo", "all"))
@@ -217,21 +193,14 @@ func AblAlias(w *Workloads) (*Result, error) {
 // they need to be.
 func AblException(w *Workloads) (*Result, error) {
 	r := newResult("abl-exception", "braid IPC vs exceptions per N instructions, normalized to none")
-	series := []string{"1/5000", "1/1000", "1/250"}
-	mk := func(s string) uarch.Config {
+	var series []variant
+	for _, every := range []uint64{5000, 1000, 250} {
 		cfg := uarch.BraidConfig(8)
-		switch s {
-		case "1/5000":
-			cfg.ExceptionEvery = 5000
-		case "1/1000":
-			cfg.ExceptionEvery = 1000
-		case "1/250":
-			cfg.ExceptionEvery = 250
-		}
+		cfg.ExceptionEvery = every
 		cfg.ExceptionHandler = 64
-		return cfg
+		series = append(series, variant{fmt.Sprintf("1/%d", every), true, cfg})
 	}
-	if err := sweep(w, r, true, uarch.BraidConfig(8), series, mk); err != nil {
+	if err := sweep(w, r, braid8(), series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("one exception per 5000 instructions is nearly free", 1.0, r.Average("1/5000", "all"))

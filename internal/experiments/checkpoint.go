@@ -63,16 +63,40 @@ func (w *Workloads) OpenCheckpoint(path string, resume bool) (int, error) {
 	return restored, nil
 }
 
-// CloseCheckpoint detaches and closes the checkpoint file, if any.
+// CloseCheckpoint syncs, detaches and closes the checkpoint file, if any.
+// It returns the first write or sync error the checkpoint met since it was
+// opened: a sweep that ran to completion but could not persist its points
+// must not look resumable.
 func (w *Workloads) CloseCheckpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 	if w.ckptFile == nil {
 		return nil
 	}
-	err := w.ckptFile.Close()
-	w.ckptFile = nil
-	return err
+	w.syncCheckpointLocked()
+	err := w.ckptErr
+	if cerr := w.ckptFile.Close(); err == nil {
+		err = cerr
+	}
+	w.ckptFile, w.ckptErr = nil, nil
+	if err != nil {
+		return fmt.Errorf("experiments: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// syncCheckpoint makes every record appended so far durable. IPCAll calls it
+// once per batch, so a crash loses at most the batch in flight.
+func (w *Workloads) syncCheckpoint() {
+	w.ckptMu.Lock()
+	defer w.ckptMu.Unlock()
+	w.syncCheckpointLocked()
+}
+
+func (w *Workloads) syncCheckpointLocked() {
+	if w.ckptFile != nil && w.ckptErr == nil {
+		w.ckptErr = w.ckptFile.Sync()
+	}
 }
 
 // loadCheckpoint replays JSONL records into the memo cache as finished
@@ -98,11 +122,13 @@ func (w *Workloads) loadCheckpoint(data []byte) (int, error) {
 	return restored, err
 }
 
-// checkpointPoint appends one completed simulation.
+// checkpointPoint appends one completed simulation. The first write error
+// is latched for CloseCheckpoint and stops further appends: a record
+// written after a short write would land mid-line and corrupt the file.
 func (w *Workloads) checkpointPoint(key string, ipc, ci float64) {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	if w.ckptFile == nil {
+	if w.ckptFile == nil || w.ckptErr != nil {
 		return
 	}
 	data, err := json.Marshal(&ckptRecord{Key: key, IPC: ipc, CI: ci})
@@ -111,5 +137,5 @@ func (w *Workloads) checkpointPoint(key string, ipc, ci float64) {
 	}
 	// One Write call per record keeps lines whole even if the process dies
 	// mid-sweep; a torn line can only be the file's very last.
-	w.ckptFile.Write(append(data, '\n'))
+	_, w.ckptErr = w.ckptFile.Write(append(data, '\n'))
 }

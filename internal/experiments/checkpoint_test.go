@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 
 	"braid/internal/uarch"
@@ -148,5 +149,33 @@ func TestCheckpointKeysDistinct(t *testing.T) {
 			t.Errorf("%s and %s share the key %q", other, pt.name, key)
 		}
 		seen[key] = pt.name
+	}
+}
+
+// TestCheckpointWriteErrorSurfaces: a checkpoint that cannot be written
+// must not fail silently. /dev/full accepts the open and fails every write
+// with ENOSPC; the sweep itself still completes, and CloseCheckpoint
+// reports the error naming the file.
+func TestCheckpointWriteErrorSurfaces(t *testing.T) {
+	const full = "/dev/full"
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("%s: %v", full, err)
+	}
+	w := testSuite(t)
+	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 2}
+	if _, err := ws.OpenCheckpoint(full, false); err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{{w.Benches[0], true, uarch.BraidConfig(8)}, {w.Benches[1], false, uarch.OutOfOrderConfig(8)}}
+	got, err := ws.IPCAll(pts)
+	if err != nil || len(got) != len(pts) {
+		t.Fatalf("sweep over an unwritable checkpoint: %d of %d points, err %v", len(got), len(pts), err)
+	}
+	err = ws.CloseCheckpoint()
+	if !errors.Is(err, syscall.ENOSPC) || !strings.Contains(err.Error(), full) {
+		t.Fatalf("CloseCheckpoint: got %v, want ENOSPC naming %s", err, full)
+	}
+	if err := ws.CloseCheckpoint(); err != nil {
+		t.Errorf("second close: %v", err)
 	}
 }

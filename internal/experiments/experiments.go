@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"braid/internal/uarch"
 )
@@ -68,33 +69,14 @@ func ValueCharacterization(w *Workloads) (*Result, error) {
 // and perfect caches, normalized per benchmark to the 4-wide machine.
 func Fig1(w *Workloads) (*Result, error) {
 	r := newResult("fig1", "speedup over 4-wide OoO, perfect BP and caches")
-	mk := func(width int) uarch.Config {
+	perfect := func(width int) variant {
 		cfg := uarch.OutOfOrderConfig(width)
 		cfg.PerfectBP = true
 		cfg.Mem.Perfect = true
-		return cfg
+		return variant{fmt.Sprintf("%d-wide", width), false, cfg}
 	}
-	widths := []int{4, 8, 16}
-	var pts []Point
-	for _, b := range w.Benches {
-		for _, width := range widths {
-			pts = append(pts, Point{b, false, mk(width)})
-		}
-	}
-	ipc, err := w.IPCAll(pts)
-	if err != nil {
+	if err := sweep(w, r, perfect(4), []variant{perfect(8), perfect(16)}); err != nil {
 		return nil, err
-	}
-	for _, b := range w.Benches {
-		base, ok := ipc[Point{b, false, mk(4)}]
-		if !ok {
-			continue // contained failure: skip the row, keep the figure
-		}
-		for _, width := range []int{8, 16} {
-			if v, ok := ipc[Point{b, false, mk(width)}]; ok {
-				r.Set(b.Name, b.FP, fmt.Sprintf("%d-wide", width), v/base)
-			}
-		}
 	}
 	r.AddClaim("8-wide speedup over 4-wide (avg)", 1.44, r.Average("8-wide", "all"))
 	r.AddClaim("16-wide speedup over 4-wide (avg)", 1.83, r.Average("16-wide", "all"))
@@ -176,15 +158,38 @@ var paperInternalsTable = map[string]float64{
 	"mgrid": 14.5, "sixtrack": 1.3, "swim": 4.5, "wupwise": 2.2,
 }
 
-// sweep runs a family of configurations over the suite — every (benchmark,
-// configuration) point simulated concurrently through the worker pool — and
-// normalizes each benchmark to its baseline configuration.
-func sweep(w *Workloads, r *Result, braided bool, baseline uarch.Config, series []string, mk func(s string) uarch.Config) error {
+// variant is one machine of a sweep: its series name, which binary it runs
+// (braided selects the braid-compiled one), and its configuration.
+type variant struct {
+	name    string
+	braided bool
+	cfg     uarch.Config
+}
+
+// vary builds one series entry per value n, named n: a copy of cfg with
+// set(&cfg, n) applied.
+func vary(braided bool, cfg uarch.Config, ns []int, set func(c *uarch.Config, n int)) []variant {
+	out := make([]variant, len(ns))
+	for i, n := range ns {
+		c := cfg
+		set(&c, n)
+		out[i] = variant{strconv.Itoa(n), braided, c}
+	}
+	return out
+}
+
+// sweep is the method behind every sensitivity figure: it simulates the
+// baseline and every series machine on every benchmark — all points
+// concurrently through the worker pool — and records each series as IPC
+// normalized to the benchmark's baseline IPC. A benchmark whose baseline
+// failed (a contained fault) is skipped; a failed series point leaves its
+// cell empty.
+func sweep(w *Workloads, r *Result, base variant, series []variant) error {
 	pts := make([]Point, 0, len(w.Benches)*(len(series)+1))
 	for _, b := range w.Benches {
-		pts = append(pts, Point{b, braided, baseline})
-		for _, s := range series {
-			pts = append(pts, Point{b, braided, mk(s)})
+		pts = append(pts, Point{b, base.braided, base.cfg})
+		for _, v := range series {
+			pts = append(pts, Point{b, v.braided, v.cfg})
 		}
 	}
 	ipc, err := w.IPCAll(pts)
@@ -192,34 +197,30 @@ func sweep(w *Workloads, r *Result, braided bool, baseline uarch.Config, series 
 		return err
 	}
 	for _, b := range w.Benches {
-		base, ok := ipc[Point{b, braided, baseline}]
+		baseIPC, ok := ipc[Point{b, base.braided, base.cfg}]
 		if !ok {
-			continue // contained failure: skip the row, keep the sweep
+			continue
 		}
-		for _, s := range series {
-			if v, ok := ipc[Point{b, braided, mk(s)}]; ok {
-				r.Set(b.Name, b.FP, s, v/base)
+		for _, v := range series {
+			if got, ok := ipc[Point{b, v.braided, v.cfg}]; ok {
+				r.Set(b.Name, b.FP, v.name, got/baseIPC)
 			}
 		}
 	}
-	r.sortSeries(series)
+	names := make([]string, len(series))
+	for i, v := range series {
+		names[i] = v.name
+	}
+	r.sortSeries(names)
 	return nil
 }
 
 // Fig5 sweeps the conventional machine's register-file entries.
 func Fig5(w *Workloads) (*Result, error) {
 	r := newResult("fig5", "OoO IPC vs RF entries, normalized to 256")
-	sizes := []int{256, 128, 64, 32, 16, 8}
-	series := make([]string, len(sizes))
-	for i, n := range sizes {
-		series[i] = fmt.Sprintf("%d", n)
-	}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.OutOfOrderConfig(8)
-		fmt.Sscanf(s, "%d", &cfg.RFEntries)
-		return cfg
-	}
-	if err := sweep(w, r, false, uarch.OutOfOrderConfig(8), series, mk); err != nil {
+	series := vary(false, uarch.OutOfOrderConfig(8), []int{256, 128, 64, 32, 16, 8},
+		func(c *uarch.Config, n int) { c.RFEntries = n })
+	if err := sweep(w, r, ooo8(), series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("32 registers (paper: -8%)", 0.92, r.Average("32", "all"))
@@ -232,17 +233,9 @@ func Fig6(w *Workloads) (*Result, error) {
 	r := newResult("fig6", "braid IPC vs external RF entries, normalized to 256")
 	base := uarch.BraidConfig(8)
 	base.RFEntries = 256
-	sizes := []int{64, 32, 16, 8, 4}
-	series := make([]string, len(sizes))
-	for i, n := range sizes {
-		series[i] = fmt.Sprintf("%d", n)
-	}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		fmt.Sscanf(s, "%d", &cfg.RFEntries)
-		return cfg
-	}
-	if err := sweep(w, r, true, base, series, mk); err != nil {
+	series := vary(true, uarch.BraidConfig(8), []int{64, 32, 16, 8, 4},
+		func(c *uarch.Config, n int) { c.RFEntries = n })
+	if err := sweep(w, r, variant{"", true, base}, series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("8-entry external RF ≈ 256-entry", 1.0, r.Average("8", "all"))
@@ -252,21 +245,12 @@ func Fig6(w *Workloads) (*Result, error) {
 // Fig7 sweeps the braid external register file's read/write ports.
 func Fig7(w *Workloads) (*Result, error) {
 	r := newResult("fig7", "braid IPC vs external RF ports, normalized to 16R/8W")
-	base := uarch.BraidConfig(8)
-	base.RFReadPorts, base.RFWritePorts = 16, 8
-	type pc struct{ r, w int }
-	ports := []pc{{8, 4}, {6, 3}, {4, 2}}
-	series := []string{"8,4", "6,3", "4,2"}
-	mk := func(s string) uarch.Config {
+	ports := func(rd, wr int) variant {
 		cfg := uarch.BraidConfig(8)
-		for i, name := range series {
-			if name == s {
-				cfg.RFReadPorts, cfg.RFWritePorts = ports[i].r, ports[i].w
-			}
-		}
-		return cfg
+		cfg.RFReadPorts, cfg.RFWritePorts = rd, wr
+		return variant{fmt.Sprintf("%d,%d", rd, wr), true, cfg}
 	}
-	if err := sweep(w, r, true, base, series, mk); err != nil {
+	if err := sweep(w, r, ports(16, 8), []variant{ports(8, 4), ports(6, 3), ports(4, 2)}); err != nil {
 		return nil, err
 	}
 	r.AddClaim("6R/3W within 0.5% of 16R/8W", 0.995, r.Average("6,3", "all"))
@@ -279,63 +263,32 @@ func Fig8(w *Workloads) (*Result, error) {
 	base := uarch.BraidConfig(8)
 	base.BypassValues = 8
 	base.BypassLevels = 3
-	series := []string{"4", "2", "1"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		cfg.BypassLevels = 1
-		fmt.Sscanf(s, "%d", &cfg.BypassValues)
-		return cfg
-	}
-	if err := sweep(w, r, true, base, series, mk); err != nil {
+	oneLevel := uarch.BraidConfig(8)
+	oneLevel.BypassLevels = 1
+	series := vary(true, oneLevel, []int{4, 2, 1}, func(c *uarch.Config, n int) { c.BypassValues = n })
+	if err := sweep(w, r, variant{"", true, base}, series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("2 bypass values within 1% of full", 0.99, r.Average("2", "all"))
 	return r, nil
 }
 
-// ooo8 is the normalization baseline of Figures 9-13.
-func ooo8() uarch.Config { return uarch.OutOfOrderConfig(8) }
+// ooo8 is the 8-wide conventional machine: Figure 5's baseline and the
+// normalization baseline of Figures 9-13.
+func ooo8() variant { return variant{"", false, uarch.OutOfOrderConfig(8)} }
 
-// braidSweep normalizes braid-core variants to the 8-wide conventional OoO
-// machine, the way Figures 9-12 are plotted.
-func braidSweep(w *Workloads, r *Result, series []string, mk func(s string) uarch.Config) error {
-	pts := make([]Point, 0, len(w.Benches)*(len(series)+1))
-	for _, b := range w.Benches {
-		pts = append(pts, Point{b, false, ooo8()})
-		for _, s := range series {
-			pts = append(pts, Point{b, true, mk(s)})
-		}
-	}
-	ipc, err := w.IPCAll(pts)
-	if err != nil {
-		return err
-	}
-	for _, b := range w.Benches {
-		base, ok := ipc[Point{b, false, ooo8()}]
-		if !ok {
-			continue // contained failure: skip the row, keep the sweep
-		}
-		for _, s := range series {
-			if v, ok := ipc[Point{b, true, mk(s)}]; ok {
-				r.Set(b.Name, b.FP, s, v/base)
-			}
-		}
-	}
-	r.sortSeries(series)
-	return nil
-}
+// braid8 is the default 8-wide braid machine, the baseline of Figure 14 and
+// of the sweep-shaped ablations.
+func braid8() variant { return variant{"", true, uarch.BraidConfig(8)} }
 
 // Fig9 varies the number of BEUs.
 func Fig9(w *Workloads) (*Result, error) {
 	r := newResult("fig9", "braid IPC vs BEUs, normalized to 8-wide OoO")
-	series := []string{"1", "2", "4", "8", "16"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		fmt.Sscanf(s, "%d", &cfg.BEUs)
-		cfg.TotalFUs = cfg.BEUs * cfg.BEUFUs
-		return cfg
-	}
-	if err := braidSweep(w, r, series, mk); err != nil {
+	series := vary(true, uarch.BraidConfig(8), []int{1, 2, 4, 8, 16}, func(c *uarch.Config, n int) {
+		c.BEUs = n
+		c.TotalFUs = n * c.BEUFUs
+	})
+	if err := sweep(w, r, ooo8(), series); err != nil {
 		return nil, err
 	}
 	v8 := r.Average("8", "all")
@@ -347,13 +300,9 @@ func Fig9(w *Workloads) (*Result, error) {
 // Fig10 varies the BEU FIFO depth.
 func Fig10(w *Workloads) (*Result, error) {
 	r := newResult("fig10", "braid IPC vs BEU FIFO entries, normalized to 8-wide OoO")
-	series := []string{"4", "8", "16", "32", "64"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		fmt.Sscanf(s, "%d", &cfg.BEUFIFO)
-		return cfg
-	}
-	if err := braidSweep(w, r, series, mk); err != nil {
+	series := vary(true, uarch.BraidConfig(8), []int{4, 8, 16, 32, 64},
+		func(c *uarch.Config, n int) { c.BEUFIFO = n })
+	if err := sweep(w, r, ooo8(), series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("32 entries capture nearly all of 64", 1.0, r.Average("32", "all")/r.Average("64", "all"))
@@ -363,13 +312,9 @@ func Fig10(w *Workloads) (*Result, error) {
 // Fig11 varies the in-order scheduling window at the FIFO head.
 func Fig11(w *Workloads) (*Result, error) {
 	r := newResult("fig11", "braid IPC vs scheduling window, normalized to 8-wide OoO")
-	series := []string{"1", "2", "4", "8"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		fmt.Sscanf(s, "%d", &cfg.BEUWindow)
-		return cfg
-	}
-	if err := braidSweep(w, r, series, mk); err != nil {
+	series := vary(true, uarch.BraidConfig(8), []int{1, 2, 4, 8},
+		func(c *uarch.Config, n int) { c.BEUWindow = n })
+	if err := sweep(w, r, ooo8(), series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("window 2 ≈ window 8 (plateau)", 1.0, r.Average("2", "all")/r.Average("8", "all"))
@@ -379,16 +324,11 @@ func Fig11(w *Workloads) (*Result, error) {
 // Fig12 varies the window size and FU count together.
 func Fig12(w *Workloads) (*Result, error) {
 	r := newResult("fig12", "braid IPC vs window=FUs, normalized to 8-wide OoO")
-	series := []string{"1", "2", "4", "8"}
-	mk := func(s string) uarch.Config {
-		cfg := uarch.BraidConfig(8)
-		n := 0
-		fmt.Sscanf(s, "%d", &n)
-		cfg.BEUWindow, cfg.BEUFUs = n, n
-		cfg.TotalFUs = cfg.BEUs * n
-		return cfg
-	}
-	if err := braidSweep(w, r, series, mk); err != nil {
+	series := vary(true, uarch.BraidConfig(8), []int{1, 2, 4, 8}, func(c *uarch.Config, n int) {
+		c.BEUWindow, c.BEUFUs = n, n
+		c.TotalFUs = c.BEUs * n
+	})
+	if err := sweep(w, r, ooo8(), series); err != nil {
 		return nil, err
 	}
 	r.AddClaim("window=FUs 2 ≈ 8 (braid ILP ≈ 2)", 1.0, r.Average("2", "all")/r.Average("8", "all"))
@@ -398,50 +338,25 @@ func Fig12(w *Workloads) (*Result, error) {
 // Fig13 compares the four paradigms at 4-, 8- and 16-wide.
 func Fig13(w *Workloads) (*Result, error) {
 	r := newResult("fig13", "paradigms × width, normalized to 8-wide OoO")
-	type entry struct {
-		series  string
+	paradigms := []struct {
+		name    string
 		braided bool
-		mk      func(int) uarch.Config
-	}
-	entries := []entry{
+		cfg     func(width int) uarch.Config
+	}{
 		{"i-o", false, uarch.InOrderConfig},
 		{"dep", false, uarch.DepSteerConfig},
 		{"braid", true, uarch.BraidConfig},
 		{"o-o-o", false, uarch.OutOfOrderConfig},
 	}
-	var series []string
+	var series []variant
 	for _, width := range []int{4, 8, 16} {
-		for _, e := range entries {
-			series = append(series, fmt.Sprintf("%s/%dw", e.series, width))
+		for _, p := range paradigms {
+			series = append(series, variant{fmt.Sprintf("%s/%dw", p.name, width), p.braided, p.cfg(width)})
 		}
 	}
-	pts := make([]Point, 0, len(w.Benches)*(len(series)+1))
-	for _, b := range w.Benches {
-		pts = append(pts, Point{b, false, ooo8()})
-		for _, width := range []int{4, 8, 16} {
-			for _, e := range entries {
-				pts = append(pts, Point{b, e.braided, e.mk(width)})
-			}
-		}
-	}
-	ipc, err := w.IPCAll(pts)
-	if err != nil {
+	if err := sweep(w, r, ooo8(), series); err != nil {
 		return nil, err
 	}
-	for _, b := range w.Benches {
-		base, ok := ipc[Point{b, false, ooo8()}]
-		if !ok {
-			continue // contained failure: skip the row, keep the figure
-		}
-		for _, width := range []int{4, 8, 16} {
-			for _, e := range entries {
-				if v, ok := ipc[Point{b, e.braided, e.mk(width)}]; ok {
-					r.Set(b.Name, b.FP, fmt.Sprintf("%s/%dw", e.series, width), v/base)
-				}
-			}
-		}
-	}
-	r.sortSeries(series)
 	br8, oo8 := r.Average("braid/8w", "all"), r.Average("o-o-o/8w", "all")
 	br16, oo16 := r.Average("braid/16w", "all"), r.Average("o-o-o/16w", "all")
 	r.AddClaim("braid within 9% of 8-wide OoO (ratio)", 0.91, br8/oo8)
@@ -454,19 +369,13 @@ func Fig13(w *Workloads) (*Result, error) {
 // per-BEU FUs, normalized to the default 8 BEUs × 2 FUs machine.
 func Fig14(w *Workloads) (*Result, error) {
 	r := newResult("fig14", "equal FU budget: 4 BEU×2FU vs 8 BEU×1FU, normalized to 8×2")
-	base := uarch.BraidConfig(8)
-	series := []string{"4x2", "8x1"}
-	mk := func(s string) uarch.Config {
+	split := func(beus, fus int) variant {
 		cfg := uarch.BraidConfig(8)
-		if s == "4x2" {
-			cfg.BEUs, cfg.BEUFUs = 4, 2
-		} else {
-			cfg.BEUs, cfg.BEUFUs = 8, 1
-		}
+		cfg.BEUs, cfg.BEUFUs = beus, fus
 		cfg.TotalFUs = 8
-		return cfg
+		return variant{fmt.Sprintf("%dx%d", beus, fus), true, cfg}
 	}
-	if err := sweep(w, r, true, base, series, mk); err != nil {
+	if err := sweep(w, r, braid8(), []variant{split(4, 2), split(8, 1)}); err != nil {
 		return nil, err
 	}
 	r.AddClaim("more BEUs beat wider BEUs (8x1 vs 4x2)", 1.05, r.Average("8x1", "all")/r.Average("4x2", "all"))
@@ -479,21 +388,9 @@ func Pipeline(w *Workloads) (*Result, error) {
 	long := uarch.BraidConfig(8)
 	long.FrontDepth = 12
 	long.MispredictMin = 23
-	short := uarch.BraidConfig(8)
-	pts := make([]Point, 0, 2*len(w.Benches))
-	for _, b := range w.Benches {
-		pts = append(pts, Point{b, true, long}, Point{b, true, short})
-	}
-	ipc, err := w.IPCAll(pts)
-	if err != nil {
+	short := variant{"short/long", true, uarch.BraidConfig(8)}
+	if err := sweep(w, r, variant{"", true, long}, []variant{short}); err != nil {
 		return nil, err
-	}
-	for _, b := range w.Benches {
-		lv, lok := ipc[Point{b, true, long}]
-		sv, sok := ipc[Point{b, true, short}]
-		if lok && sok {
-			r.Set(b.Name, b.FP, "short/long", sv/lv)
-		}
 	}
 	r.AddClaim("average speedup from shorter pipeline", 1.0219, r.Average("short/long", "all"))
 	return r, nil

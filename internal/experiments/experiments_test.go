@@ -215,7 +215,7 @@ func TestFig13Ordering(t *testing.T) {
 func TestIPCMemoization(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
-	cfg := ooo8()
+	cfg := ooo8().cfg
 	v1, err := w.IPC(b, false, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -63,6 +63,7 @@ type Workloads struct {
 
 	ckptMu   sync.Mutex
 	ckptFile *os.File
+	ckptErr  error // first write or sync error, reported by CloseCheckpoint
 
 	failMu sync.Mutex
 	failed []PointFailure
@@ -121,15 +122,15 @@ func (w *Workloads) SetTimeout(d time.Duration) { w.simTimeout = d }
 // is created on first fault.
 func (w *Workloads) SetCrashDir(dir string) { w.crashDir = dir }
 
-// Runner executes one simulation, exact or interval-sampled. The default
-// runner is the in-process simulator; installing a remote pool
+// Runner executes one simulation. The default runner is the in-process
+// simulator (uarch.SimulateSampled, which runs exact under a disabled
+// Sampling and returns a nil estimate); installing a remote pool
 // (internal/remote) makes every memoized point and ablation run execute on
 // braidd backends instead. A Runner must be deterministic and must report
 // failures in the local error taxonomy (*uarch.SimFault, ErrCycleLimit,
 // ErrTimeout, ErrCanceled) so memoization, checkpointing, and Failures()
 // accounting behave identically either way.
 type Runner interface {
-	Simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, error)
 	SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error)
 }
 
@@ -146,22 +147,14 @@ func (w *Workloads) SetSampling(sp uarch.Sampling) { w.sampling = sp }
 // Sampling reports the suite's sampling geometry (zero when exact).
 func (w *Workloads) Sampling() uarch.Sampling { return w.sampling }
 
-// simulate dispatches one run through the installed Runner, defaulting to
-// the in-process simulator; with sampling enabled the estimate accompanies
-// the stats (nil for exact runs).
+// simulate dispatches one run under the suite's sampling geometry through
+// the installed Runner, defaulting to the in-process simulator; the estimate
+// is nil for exact runs.
 func (w *Workloads) simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
-	if w.sampling.Enabled() {
-		if w.runner != nil {
-			return w.runner.SimulateSampled(ctx, p, cfg, w.sampling)
-		}
-		return uarch.SimulateSampled(ctx, p, cfg, w.sampling)
-	}
 	if w.runner != nil {
-		st, err := w.runner.Simulate(ctx, p, cfg)
-		return st, nil, err
+		return w.runner.SimulateSampled(ctx, p, cfg, w.sampling)
 	}
-	st, err := uarch.SimulateChecked(ctx, p, cfg)
-	return st, nil, err
+	return uarch.SimulateSampled(ctx, p, cfg, w.sampling)
 }
 
 // pointKey is the memo and checkpoint key of one point under the suite's
@@ -217,18 +210,14 @@ func (w *Workloads) SimFFwdInstrs() uint64 { return w.simFFwd.Load() }
 // dynTarget dynamic instructions, and precomputes their characterization,
 // preparing one benchmark per processor at a time.
 func LoadSuite(dynTarget uint64) (*Workloads, error) {
-	return LoadSuiteJobs(dynTarget, 0)
+	return LoadSuiteCtx(context.Background(), dynTarget, 0)
 }
 
-// LoadSuiteJobs is LoadSuite with an explicit worker-pool width (jobs <= 0
-// means one worker per processor). The suite order is deterministic —
-// workload.Profiles order — regardless of which preparation finishes first.
-func LoadSuiteJobs(dynTarget uint64, jobs int) (*Workloads, error) {
-	return LoadSuiteCtx(context.Background(), dynTarget, jobs)
-}
-
-// LoadSuiteCtx is LoadSuiteJobs under a context: canceling ctx stops the
-// preparation between benchmarks (each in-flight preparation still finishes).
+// LoadSuiteCtx is LoadSuite under a context and with an explicit worker-pool
+// width (jobs <= 0 means one worker per processor). The suite order is
+// deterministic — workload.Profiles order — regardless of which preparation
+// finishes first. Canceling ctx stops the preparation between benchmarks
+// (each in-flight preparation still finishes).
 func LoadSuiteCtx(ctx context.Context, dynTarget uint64, jobs int) (*Workloads, error) {
 	if dynTarget < 1000 {
 		return nil, fmt.Errorf("experiments: dynTarget %d too small", dynTarget)
@@ -477,6 +466,7 @@ func (w *Workloads) Retry(pt Point) (float64, error) {
 // per-simulation timeout — degrade gracefully: the failed point is omitted
 // from the map (and recorded in Failures()) while the rest of the sweep
 // completes. Only cancellation and infrastructure errors abort the batch.
+// Either way the checkpoint, if open, is synced once the batch ends.
 func (w *Workloads) IPCAll(points []Point) (map[Point]float64, error) {
 	type outcome struct {
 		ipc  float64
@@ -492,6 +482,7 @@ func (w *Workloads) IPCAll(points []Point) (map[Point]float64, error) {
 		}
 		return outcome{ipc: v}, nil
 	})
+	w.syncCheckpoint()
 	if err != nil {
 		return nil, err
 	}

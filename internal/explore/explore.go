@@ -64,17 +64,18 @@ type Result struct {
 // Search runs the NSGA-II-lite loop over the given benchmark subset of w.
 // Determinism contract: with equal (seed, pop, budget, workload set,
 // sampling geometry, suite dynTarget), the returned front and digest are
-// byte-identical regardless of w's job count, runner (local or remote — both
-// are deterministic), or how many times the search was interrupted and
-// resumed through ck. ctx cancellation stops the search between generations
-// with the checkpoint intact; the error wraps ctx.Err().
+// byte-identical regardless of w's job count or runner (local or remote —
+// both are deterministic). ctx cancellation stops the search between
+// generations; the error wraps ctx.Err().
 //
-// ck may be nil (no persistence). A non-nil ck that already holds completed
-// generations seeds the search state from them — the remaining generations
-// run exactly as they would have in the uninterrupted process, because every
-// generation reseeds its own RNG from (seed, generation index) and the
-// genetic operators are serial.
-func Search(ctx context.Context, w *experiments.Workloads, benches []*experiments.Bench, opt Options, ck *Checkpoint) (*Result, error) {
+// Search keeps no state of its own across processes. Every evaluation goes
+// through w's point-keyed memo, so resuming an interrupted search is
+// rerunning it over a Workloads whose checkpoint holds the finished points
+// (Workloads.OpenCheckpoint): each generation reseeds its own RNG from
+// (seed, generation index) and the genetic operators are serial, so the
+// replay retraces the original generations, every finished point is a memo
+// hit, and only the points the first run never finished simulate.
+func Search(ctx context.Context, w *experiments.Workloads, benches []*experiments.Bench, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("explore: no workloads to evaluate")
@@ -87,18 +88,11 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 		archive: map[Genome]*Eval{},
 	}
 
-	gen := 0
-	if ck != nil {
-		var err error
-		if gen, err = s.restore(ck); err != nil {
-			return nil, err
-		}
-	}
-
 	// The budget counts unique evaluations; a pathological lattice corner
 	// where every offspring is already archived would stall it, so a
 	// generous generation cap bounds the loop deterministically.
 	maxGens := 4*opt.Budget/opt.Pop + 8
+	gen := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("explore: search stopped: %w", err)
@@ -118,11 +112,6 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 			return nil, err
 		}
 		s.selectNext(cohort)
-		if ck != nil {
-			if err := ck.appendGen(gen, s.evals, s.pop, fresh); err != nil {
-				return nil, err
-			}
-		}
 		if opt.Log != nil {
 			front := s.front()
 			fmt.Fprintf(opt.Log, "explore: gen %d: %d evals (%d new), front %d points%s\n",
@@ -141,8 +130,8 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 
 // SelectBenches resolves a workload-name subset against a loaded suite, in
 // the order given (the geomean is computed in this order, so it is part of
-// the determinism contract and of the checkpoint meta). Empty names selects
-// the whole suite in suite order.
+// the determinism contract). Empty names selects the whole suite in suite
+// order.
 func SelectBenches(w *experiments.Workloads, names []string) ([]*experiments.Bench, error) {
 	if len(names) == 0 {
 		return w.Benches, nil
@@ -168,9 +157,8 @@ func SelectBenches(w *experiments.Workloads, names []string) ([]*experiments.Ben
 }
 
 // genRNG derives generation g's RNG. Reseeding per generation (rather than
-// streaming one RNG across the run) is what makes resume exact: a restored
-// search re-enters generation g with precisely the randomness the original
-// process would have used, with no RNG state to serialize.
+// streaming one RNG across the run) keeps each generation a function of the
+// seed and the archive alone, with no RNG state to carry.
 func genRNG(seed int64, g int) *rand.Rand {
 	const genStride uint64 = 0x9E3779B97F4A7C15 // 2^64/phi, as a mixing stride
 	return rand.New(rand.NewSource(seed + int64(uint64(g)*genStride)))
@@ -242,9 +230,9 @@ func (s *searcher) offspring(rng *rand.Rand) []Genome {
 
 // evaluate simulates every not-yet-archived genome in the cohort through one
 // IPCAll fan-out and archives the outcomes. Returned evals are the freshly
-// evaluated ones in first-appearance cohort order (the checkpoint records
-// exactly these). Evaluation order independence: IPCAll's result map is
-// keyed by Point, so scheduling does not affect which value lands where.
+// evaluated ones in first-appearance cohort order. Evaluation order
+// independence: IPCAll's result map is keyed by Point, so scheduling does
+// not affect which value lands where.
 func (s *searcher) evaluate(cohort []Genome, gen int) ([]Eval, error) {
 	type job struct {
 		g      Genome
@@ -261,7 +249,7 @@ func (s *searcher) evaluate(cohort []Genome, gen int) ([]Eval, error) {
 		cfg, err := g.Config()
 		if err != nil {
 			// Unreachable for lattice-derived genomes; archive as
-			// infeasible so a corrupt checkpoint cannot loop forever.
+			// infeasible so the genome is never retried.
 			s.archiveEval(Eval{Genome: g, Cost: math.Inf(1), Gen: gen})
 			continue
 		}

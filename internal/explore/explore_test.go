@@ -3,11 +3,9 @@ package explore
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -53,7 +51,7 @@ func searchOpts(seed int64) Options {
 // / §5.1 claim, recovered by search rather than by hand.
 func TestSearchRediscoversThePaper(t *testing.T) {
 	w, benches := testSuite(t)
-	res, err := Search(context.Background(), w, benches, searchOpts(1), nil)
+	res, err := Search(context.Background(), w, benches, searchOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestSearchDigestIndependentOfParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Search(context.Background(), w, benches, searchOpts(3), nil)
+		res, err := Search(context.Background(), w, benches, searchOpts(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,57 +125,63 @@ func TestSearchDigestIndependentOfParallelism(t *testing.T) {
 
 // TestSearchResumeReproducesFront: interrupting a checkpointed search and
 // resuming must converge to the identical front. The interruption is
-// simulated by truncating the checkpoint to its first two generation
-// records — exactly what a SIGKILL after generation 1 leaves behind — plus a
-// torn half-line, which resume must drop.
+// simulated by truncating the point checkpoint halfway — what a SIGKILL
+// mid-search leaves behind — plus a torn half-line, which resume must drop.
+// The resumed search replays from generation 0 on a fresh suite: every
+// restored point must be a memo hit, so it simulates exactly the points the
+// checkpoint lacks.
 func TestSearchResumeReproducesFront(t *testing.T) {
-	w, benches := testSuite(t)
 	opt := searchOpts(5)
 	dir := t.TempDir()
-	meta := Meta{Seed: opt.Seed, Pop: opt.Pop, Budget: opt.Budget,
-		Workloads: testBenchNames, DynTarget: testDyn}
+	search := func(path string, resume bool) (*Result, *experiments.Workloads, int) {
+		t.Helper()
+		w, err := experiments.LoadSuiteCtx(context.Background(), testDyn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		benches, err := SelectBenches(w, testBenchNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := w.OpenCheckpoint(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Search(context.Background(), w, benches, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CloseCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return res, w, restored
+	}
 
 	full := filepath.Join(dir, "full.jsonl")
-	ck, err := OpenCheckpoint(full, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Search(context.Background(), w, benches, opt, ck)
-	ck.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wFull, _ := search(full, false)
 	if want.Generations < 3 {
 		t.Fatalf("search finished in %d generations; test needs >= 3 to interrupt meaningfully", want.Generations)
 	}
 
-	// Keep meta + generations 0 and 1, then a torn tail.
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 4 {
+	keep := len(lines) / 2
+	if keep < 2 {
 		t.Fatalf("checkpoint has %d lines", len(lines))
 	}
-	torn := append([]byte{}, bytes.Join(lines[:3], nil)...)
-	torn = append(torn, lines[3][:len(lines[3])/2]...)
+	torn := append([]byte{}, bytes.Join(lines[:keep], nil)...)
+	torn = append(torn, lines[keep][:len(lines[keep])/2]...)
 	interrupted := filepath.Join(dir, "interrupted.jsonl")
 	if err := os.WriteFile(interrupted, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	ck2, err := OpenCheckpoint(interrupted, meta, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck2.Generations() != 2 {
-		t.Fatalf("restored %d generations, want 2 (torn third dropped)", ck2.Generations())
-	}
-	got, err := Search(context.Background(), w, benches, opt, ck2)
-	ck2.Close()
-	if err != nil {
-		t.Fatal(err)
+	got, wResumed, restored := search(interrupted, true)
+	if restored != keep {
+		t.Fatalf("restored %d points, want %d (torn line dropped)", restored, keep)
 	}
 	if got.Digest != want.Digest {
 		t.Fatalf("resumed front digest %s != uninterrupted %s", got.Digest, want.Digest)
@@ -186,56 +190,8 @@ func TestSearchResumeReproducesFront(t *testing.T) {
 		t.Errorf("resumed run: %d gens / %d evals, want %d / %d",
 			got.Generations, got.Evaluations, want.Generations, want.Evaluations)
 	}
-}
-
-// TestResumeRefusesParameterMismatch: a checkpoint taken under different
-// search parameters must be refused, not silently blended.
-func TestResumeRefusesParameterMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	meta := Meta{Seed: 1, Pop: 8, Budget: 32, Workloads: []string{"gcc"}, DynTarget: testDyn}
-	ck, err := OpenCheckpoint(path, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-	changed := meta
-	changed.Seed = 2
-	if _, err := OpenCheckpoint(path, changed, true); err == nil {
-		t.Fatal("resume accepted a checkpoint with a different seed")
-	}
-	grown := meta
-	grown.Workloads = []string{"gcc", "mcf"}
-	if _, err := OpenCheckpoint(path, grown, true); err == nil {
-		t.Fatal("resume accepted a checkpoint with a different workload set")
-	}
-}
-
-// TestResumeRefusesOtherModel: braidtune's resume never re-simulates, so a
-// front evaluated under another timing model (uarch.ModelVersion) must be
-// refused rather than replayed as current.
-func TestResumeRefusesOtherModel(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	meta := Meta{Seed: 1, Pop: 8, Budget: 32, Workloads: []string{"gcc"}, DynTarget: testDyn}
-	ck, err := OpenCheckpoint(path, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stamp := fmt.Sprintf(`"model":%d,`, uarch.ModelVersion)
-	if !bytes.Contains(data, []byte(stamp)) {
-		t.Fatalf("checkpoint meta does not record the model version: %s", data)
-	}
-	old := bytes.Replace(data, []byte(stamp), []byte(fmt.Sprintf(`"model":%d,`, uarch.ModelVersion-1)), 1)
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, meta, true); err == nil || !strings.Contains(err.Error(), "different parameters") {
-		t.Fatalf("resume of another model's checkpoint: got %v, want a parameter-mismatch refusal", err)
+	if n, full := wResumed.SimRuns(), wFull.SimRuns(); n != full-uint64(restored) {
+		t.Errorf("resumed run simulated %d points; the full run simulated %d and %d were restored", n, full, restored)
 	}
 }
 
@@ -253,7 +209,7 @@ func TestInjectedFaultContainedAndExcluded(t *testing.T) {
 	}
 	opt := searchOpts(9)
 	opt.InjectFaultAt = 3
-	res, err := Search(context.Background(), w, benches, opt, nil)
+	res, err := Search(context.Background(), w, benches, opt)
 	if err != nil {
 		t.Fatalf("search aborted on an injected fault: %v", err)
 	}
@@ -273,7 +229,7 @@ func TestInjectedFaultContainedAndExcluded(t *testing.T) {
 	// faulted one must be the only difference, and the search survives
 	// either way.
 	opt.InjectFaultAt = 0
-	if _, err := Search(context.Background(), w, benches, opt, nil); err != nil {
+	if _, err := Search(context.Background(), w, benches, opt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -284,7 +240,7 @@ func TestSearchCancellation(t *testing.T) {
 	w, benches := testSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Search(ctx, w, benches, searchOpts(1), nil); err == nil {
+	if _, err := Search(ctx, w, benches, searchOpts(1)); err == nil {
 		t.Fatal("canceled search returned no error")
 	}
 }

@@ -4,15 +4,16 @@
 // at close to in-order cost. The search is an NSGA-II-lite genetic loop —
 // non-dominated sort, crowding distance, seeded mutation and crossover over
 // a typed parameter lattice — evaluated through experiments.Workloads, so it
-// composes with memoization, interval sampling, remote fleet execution, and
-// contained-fault accounting without any code of its own for those.
+// composes with memoization, checkpoint/resume, interval sampling, remote
+// fleet execution, and contained-fault accounting without any code of its
+// own for those.
 //
 // Everything is deterministic by construction: all genetic operations run
 // serially on one goroutine with a per-generation seeded RNG, evaluation
 // fans out through one IPCAll call per generation (order-independent by
 // keying results on Point), and the final front is sorted canonically. The
 // front digest is therefore byte-identical at any -j and across
-// checkpoint/interrupt/resume.
+// interrupt/resume.
 package explore
 
 import (
@@ -26,8 +27,8 @@ import (
 // the corresponding option table below — not a raw hardware value — so
 // mutation is "step to a neighboring option" and any field combination maps
 // to a machine that uarch.Config.Validate accepts (Config still validates as
-// a backstop). Genomes are comparable, which the archive and checkpoint
-// dedupe rely on.
+// a backstop). Genomes are comparable, which the archive's dedupe relies
+// on.
 type Genome struct {
 	Core     int8 `json:"core"`     // Cores: execution paradigm
 	Width    int8 `json:"width"`    // Widths: fetch/issue width
@@ -44,10 +45,10 @@ type Genome struct {
 }
 
 // The option tables. Order matters twice over: mutation steps between
-// neighbors, so each table is sorted by hardware aggressiveness, and the
-// checkpoint format stores indices, so reordering or removing entries
-// invalidates old checkpoints (append new options at the end and bump
-// latticeVersion if the meaning of an index changes).
+// neighbors, so each table is sorted by hardware aggressiveness, and a
+// Genome's JSON (as in the -front file) stores indices, so reordering or
+// removing entries changes what a recorded genome means (append new options
+// at the end and bump LatticeVersion if the meaning of an index changes).
 var (
 	Cores         = []uarch.CoreKind{uarch.CoreInOrder, uarch.CoreDepSteer, uarch.CoreBraid, uarch.CoreOutOfOrder}
 	Widths        = []int{2, 4, 8, 16}
@@ -63,13 +64,9 @@ var (
 	PredHistories = []int{16, 32, 64}
 )
 
-// latticeVersion is stamped into checkpoints; resuming across an
-// incompatible lattice is refused rather than silently misread.
-const latticeVersion = 1
-
-// LatticeVersion is the exported lattice identity, for callers stamping
-// artifacts (the -front JSON) outside the checkpoint machinery.
-const LatticeVersion = latticeVersion
+// LatticeVersion identifies the option tables, for artifacts that record
+// genomes as indices (the -front JSON).
+const LatticeVersion = 1
 
 // gene describes one mutable field: its name (for diagnostics), its option
 // count, and an accessor. The slice is the single source of truth for the
@@ -95,8 +92,8 @@ var genes = []gene{
 	{"predhist", len(PredHistories), func(g *Genome) *int8 { return &g.PredHist }},
 }
 
-// valid reports whether every index is inside its table (checkpoints from a
-// different lattice, or hand-edited ones, are the only way to violate this).
+// valid reports whether every index is inside its table (only a genome
+// built by hand, not by the genetic operators, can violate this).
 func (g Genome) valid() bool {
 	for _, ge := range genes {
 		v := *ge.get(&g)

@@ -192,7 +192,7 @@ func TestFleetAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute chaos ablation")
 	}
-	w, err := experiments.LoadSuiteJobs(1500, 0)
+	w, err := experiments.LoadSuite(1500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func runChaosSweep(t *testing.T, disableBreaker bool) soakOutcome {
 	}
 	defer pool.Close()
 
-	w, err := experiments.LoadSuiteJobs(1500, 0)
+	w, err := experiments.LoadSuite(1500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,11 @@
 // pool's observed p95; and a verify mode cross-checks a deterministic sample
 // of remote Stats bit-for-bit against local simulation.
 //
-// The pool implements the experiments.Runner interface, so a Workloads suite
-// pointed at it keeps its memoization, checkpoint/resume, and Failures()
-// accounting unchanged: remote structured errors translate back into the
-// local taxonomy (*uarch.SimFault, ErrCycleLimit, ErrTimeout, ErrCanceled).
+// The pool satisfies experiments.Runner (its one method, SimulateSampled,
+// runs exact under a disabled Sampling), so a Workloads suite pointed at it
+// keeps its memoization, checkpoint/resume, and Failures() accounting
+// unchanged: remote structured errors translate back into the local
+// taxonomy (*uarch.SimFault, ErrCycleLimit, ErrTimeout, ErrCanceled).
 package remote
 
 import (
@@ -349,10 +350,8 @@ func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 	return down, nil
 }
 
-// Simulate runs one point remotely, satisfying experiments.Runner: the
-// returned Stats and error taxonomy match uarch.SimulateChecked on a live
-// fleet, so memoization, Failures() accounting, and checkpointing behave
-// identically to local execution.
+// Simulate runs one point remotely and exactly: the returned Stats and error
+// taxonomy match uarch.SimulateChecked on a live fleet.
 func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config) (*uarch.Stats, error) {
 	r, err := p.SimulateFull(ctx, prog, cfg)
 	if err != nil {
@@ -361,11 +360,12 @@ func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config
 	return r.Stats, nil
 }
 
-// SimulateSampled runs one point remotely with interval-sampled timing,
-// the other half of experiments.Runner. The geometry is part of the point
-// key, so sampled and exact results never share a server cache entry, and
-// verification compares the estimate within tolerance rather than
-// byte-for-byte.
+// SimulateSampled runs one point remotely with interval-sampled timing (or
+// exact timing under a disabled Sampling), satisfying experiments.Runner:
+// memoization, Failures() accounting, and checkpointing behave identically
+// to local execution. The geometry is part of the point key, so sampled and
+// exact results never share a server cache entry, and verification compares
+// the estimate within tolerance rather than byte-for-byte.
 func (p *Pool) SimulateSampled(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
 	r, err := p.run(ctx, prog, cfg, sp)
 	if err != nil {
