@@ -66,47 +66,6 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkSimThroughput measures raw simulator speed — retired instructions
-// per wall-clock second (MIPS) — for one representative benchmark under each
-// core paradigm. This is the per-paradigm complement to cmd/braidbench's
-// -throughput flag, which reports the same metric over the full evaluation;
-// BENCH_sim_throughput.json pins the committed baseline.
-func BenchmarkSimThroughput(b *testing.B) {
-	w := loadSuite(b)
-	bench := w.Benches[0]
-	cases := []struct {
-		name    string
-		braided bool
-		cfg     uarch.Config
-	}{
-		{"inorder-8", false, uarch.InOrderConfig(8)},
-		{"depsteer-8", false, uarch.DepSteerConfig(8)},
-		{"ooo-8", false, uarch.OutOfOrderConfig(8)},
-		{"braid-8", true, uarch.BraidConfig(8)},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			p := bench.Orig
-			if c.braided {
-				p = bench.Braided
-			}
-			var instrs uint64
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				st, err := uarch.Simulate(p, c.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += st.Retired
-			}
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				b.ReportMetric(float64(instrs)/secs/1e6, "MIPS")
-			}
-		})
-	}
-}
-
 // BenchmarkSampledThroughput pits interval sampling against exact simulation
 // on a workload long enough to fast-forward most of its instructions. The
 // exact case reports detailed-engine MIPS; the sampled case reports both

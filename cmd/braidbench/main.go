@@ -68,7 +68,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		ablations  = flag.Bool("ablations", false, "run the ablation studies instead of the paper artifacts")
 		complexity = flag.Bool("complexity", false, "print the §5.1 structure-complexity comparison and exit")
-		throughput = flag.Bool("throughput", false, "append a JSON simulator-throughput summary to stdout")
 		checkpoint = flag.String("checkpoint", "", "append completed simulations to this JSONL file")
 		resume     = flag.Bool("resume", false, "reload finished points from -checkpoint before running")
 		crashDir   = flag.String("crashdir", "crashes", "directory for simulator-fault repro artifacts")
@@ -231,42 +230,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "braidbench: remote pool: %s\n", pool)
 	}
 
-	if *throughput {
-		secs := time.Since(start).Seconds()
-		summary := struct {
-			Simulations uint64 `json:"simulations"`
-			// Instructions is everything retired; Detailed ran on the
-			// cycle-level engine, FFwd was functionally fast-forwarded by
-			// sampled runs. MIPS rates the detailed engine only (honest
-			// under sampling); EffectiveMIPS rates total retirement — the
-			// sweep-level throughput sampling buys. Exact runs report the
-			// two equal.
-			Instructions  uint64  `json:"instructions"`
-			Detailed      uint64  `json:"detailed_instructions"`
-			FFwd          uint64  `json:"fastforward_instructions"`
-			Cycles        uint64  `json:"cycles"`
-			Seconds       float64 `json:"seconds"`
-			MIPS          float64 `json:"mips"`
-			EffectiveMIPS float64 `json:"effective_mips"`
-			Jobs          int     `json:"jobs"`
-		}{
-			Simulations:   w.SimRuns(),
-			Instructions:  w.SimInstrs(),
-			Detailed:      w.SimDetailedInstrs(),
-			FFwd:          w.SimFFwdInstrs(),
-			Cycles:        w.SimCycles(),
-			Seconds:       secs,
-			MIPS:          float64(w.SimDetailedInstrs()) / secs / 1e6,
-			EffectiveMIPS: float64(w.SimInstrs()) / secs / 1e6,
-			Jobs:          w.Jobs(),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(summary); err != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
-			exit = 1
-		}
-	}
 	if err := w.CloseCheckpoint(); err != nil {
 		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
 		exit = 1

@@ -5,17 +5,18 @@
 // JSON from the service — the determinism contract the result cache depends
 // on.
 //
-// With a single -addr, requests go straight at the backend (the classic
-// single-server load test). With a comma-separated list, braidload drives
-// the internal/remote pool: points route by consistent hash, retry with
-// backoff across backends, and optionally hedge stragglers with -hedge —
-// the same path braidbench -remote uses for distributed sweeps.
+// Requests go through the internal/remote pool, the same path braidbench
+// -remote uses for distributed sweeps: each carries its program image, is
+// routed by point key over a consistent-hash ring, retries with backoff
+// across backends, and is checked against the response's integrity header;
+// -hedge duplicates stragglers onto a second backend. A single -addr is a
+// pool of one.
 //
 //	braidd -addr 127.0.0.1:8080 &
-//	braidload -addr http://127.0.0.1:8080 -c 32 -n 512 -verify -out BENCH_service_throughput.json
+//	braidload -addr http://127.0.0.1:8080 -c 32 -n 512 -verify
 //
 //	braidd -addr 127.0.0.1:8091 & braidd -addr 127.0.0.1:8092 &
-//	braidload -addr 127.0.0.1:8091,127.0.0.1:8092 -hedge -verify -out BENCH_remote_throughput.json
+//	braidload -addr 127.0.0.1:8091,127.0.0.1:8092 -hedge -verify -out burst.json
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8080", "comma-separated braidd base URLs (2+: drive the routing pool)")
+		addr      = flag.String("addr", "http://127.0.0.1:8080", "comma-separated braidd base URLs")
 		conc      = flag.Int("c", 32, "concurrent clients")
 		total     = flag.Int("n", 512, "total requests")
 		iters     = flag.Int("iters", 60, "workload iterations per request")
@@ -52,8 +52,8 @@ func main() {
 		timeout   = flag.Duration("timeout", 120*time.Second, "per-request client timeout")
 		wait      = flag.Duration("wait", 15*time.Second, "how long to wait for /healthz before starting")
 		verify    = flag.Bool("verify", false, "simulate each unique request locally and demand bit-identical Stats")
-		hedge     = flag.Bool("hedge", false, "hedge slow requests onto a second backend (pool mode)")
-		probe     = flag.Duration("probe", 0, "background health-probe interval for the pool (pool mode; 0: off)")
+		hedge     = flag.Bool("hedge", false, "hedge slow requests onto a second backend")
+		probe     = flag.Duration("probe", 0, "background health-probe interval for the pool (0: off)")
 		out       = flag.String("out", "", "write the benchmark JSON here as well as stdout")
 	)
 	flag.Parse()
@@ -66,24 +66,32 @@ func main() {
 	if len(addrs) == 0 {
 		log.Fatal("braidload: no -addr")
 	}
-	client := &http.Client{Timeout: *timeout}
+	ctx := context.Background()
+	pool, err := remote.Dial(ctx, remote.Options{
+		Backends: addrs,
+		Hedge:    *hedge,
+		Timeout:  *timeout,
+		Probe:    *probe,
+	}, *wait)
+	if err != nil {
+		log.Fatalf("braidload: %v", err)
+	}
+	defer pool.Close()
 
-	var res *loadResult
-	if len(addrs) > 1 {
-		res = runPoolMode(addrs, mix, *conc, *total, *verify, *hedge, *timeout, *wait, *probe, client)
-	} else {
-		if err := waitHealthy(client, addrs[0], *wait); err != nil {
-			log.Fatalf("braidload: %v", err)
+	items := buildPrograms(mix)
+	var expected map[string][]byte
+	if *verify {
+		if expected, err = simulateLocally(items); err != nil {
+			log.Fatalf("braidload: local verification run: %v", err)
 		}
-		var expected map[string][]byte
-		if *verify {
-			var err error
-			if expected, err = simulateLocally(buildPrograms(mix)); err != nil {
-				log.Fatalf("braidload: local verification run: %v", err)
-			}
+	}
+	res := run(ctx, pool, items, *conc, *total, expected)
+	client := &http.Client{Timeout: *timeout}
+	res.Metrics = map[string]any{}
+	for _, b := range pool.Backends() {
+		if m := scrapeMetrics(client, b); m != nil {
+			res.Metrics[b] = m
 		}
-		res = run(client, addrs[0], mix, *conc, *total, expected)
-		res.Metrics = map[string]any{addrs[0]: scrapeMetrics(client, addrs[0])}
 	}
 
 	data, err := json.MarshalIndent(res, "", "  ")
@@ -127,23 +135,6 @@ func buildMix(profiles, cores []string, width, iters int) []mixItem {
 		}
 	}
 	return mix
-}
-
-func waitHealthy(client *http.Client, addr string, wait time.Duration) error {
-	deadline := time.Now().Add(wait)
-	for {
-		resp, err := client.Get(addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("server at %s not healthy after %s (last: err=%v)", addr, wait, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }
 
 // builtItem is one unique request resolved to the exact program image and
@@ -210,8 +201,8 @@ func simulateLocally(items []builtItem) (map[string][]byte, error) {
 	return expected, nil
 }
 
-// loadResult is the benchmark artifact (BENCH_service_throughput.json,
-// BENCH_remote_throughput.json). server_metrics is keyed by backend URL.
+// loadResult is the burst report braidload prints (and writes to -out).
+// server_metrics is keyed by backend URL.
 type loadResult struct {
 	Backends      []string       `json:"backends,omitempty"`
 	Concurrency   int            `json:"concurrency"`
@@ -233,30 +224,9 @@ type loadResult struct {
 	Metrics       map[string]any `json:"server_metrics,omitempty"`
 }
 
-// runPoolMode drives the request mix through the internal/remote pool:
-// consistent-hash routing, retry/failover, and optional hedging across every
-// backend — the distributed analogue of the single-server burst.
-func runPoolMode(addrs []string, mix []mixItem, conc, total int, verify, hedge bool, timeout, wait, probe time.Duration, client *http.Client) *loadResult {
-	ctx := context.Background()
-	pool, err := remote.Dial(ctx, remote.Options{
-		Backends: addrs,
-		Hedge:    hedge,
-		Timeout:  timeout,
-		Probe:    probe,
-	}, wait)
-	if err != nil {
-		log.Fatalf("braidload: %v", err)
-	}
-	defer pool.Close()
-
-	items := buildPrograms(mix)
-	var expected map[string][]byte
-	if verify {
-		if expected, err = simulateLocally(items); err != nil {
-			log.Fatalf("braidload: local verification run: %v", err)
-		}
-	}
-
+// run drives the request mix through the pool from conc concurrent
+// clients until total requests have been answered or failed.
+func run(ctx context.Context, pool *remote.Pool, items []builtItem, conc, total int, expected map[string][]byte) *loadResult {
 	var (
 		next      atomic.Int64
 		mu        sync.Mutex
@@ -310,81 +280,6 @@ func runPoolMode(addrs []string, mix []mixItem, conc, total int, verify, hedge b
 	finish(res, latencies, total)
 	ps := pool.Snapshot()
 	res.Pool = &ps
-	res.Metrics = map[string]any{}
-	for _, b := range pool.Backends() {
-		if m := scrapeMetrics(client, b); m != nil {
-			res.Metrics[b] = m
-		}
-	}
-	return res
-}
-
-// verifyResponse is the response shape braidload decodes: Stats stays raw so
-// verification compares the service's exact bytes against the local run.
-type verifyResponse struct {
-	Source string          `json:"source"`
-	Stats  json.RawMessage `json:"stats"`
-}
-
-func run(client *http.Client, addr string, mix []mixItem, conc, total int, expected map[string][]byte) *loadResult {
-	bodies := make([][]byte, len(mix))
-	for i, it := range mix {
-		data, err := json.Marshal(&it.req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bodies[i] = data
-	}
-
-	var (
-		next      atomic.Int64
-		mu        sync.Mutex
-		latencies []float64
-		sources   = map[string]int{}
-		res       = &loadResult{Concurrency: conc, Requests: total, Sources: sources}
-		wg        sync.WaitGroup
-	)
-	t0 := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				it := mix[i%len(mix)]
-				r0 := time.Now()
-				vr, err := post(client, addr, bodies[i%len(mix)])
-				ms := float64(time.Since(r0).Nanoseconds()) / 1e6
-				mu.Lock()
-				latencies = append(latencies, ms)
-				if err != nil {
-					res.Errors++
-					log.Printf("braidload: %s: %v", it.key, err)
-				} else {
-					sources[vr.Source]++
-					if want, ok := expected[it.key]; ok {
-						res.Verified++
-						if !bytes.Equal(want, vr.Stats) {
-							res.Mismatches++
-							res.Errors++
-							log.Printf("braidload: %s: stats differ from local simulation", it.key)
-						}
-					}
-					var st uarch.Stats
-					if json.Unmarshal(vr.Stats, &st) == nil {
-						res.Instructions += st.Retired
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	res.Seconds = time.Since(t0).Seconds()
-	finish(res, latencies, total)
 	return res
 }
 
@@ -409,26 +304,6 @@ func finish(res *loadResult, latencies []float64, total int) {
 		res.RPS = float64(total) / res.Seconds
 		res.AggregateMIPS = float64(res.Instructions) / res.Seconds / 1e6
 	}
-}
-
-func post(client *http.Client, addr string, body []byte) (*verifyResponse, error) {
-	resp, err := client.Post(addr+"/v1/simulate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-	}
-	var vr verifyResponse
-	if err := json.Unmarshal(data, &vr); err != nil {
-		return nil, fmt.Errorf("decoding response: %w", err)
-	}
-	return &vr, nil
 }
 
 // scrapeMetrics pulls /metrics and keeps the counters the benchmark report

@@ -100,11 +100,12 @@ func (w *Workloads) syncCheckpointLocked() {
 }
 
 // loadCheckpoint replays JSONL records into the memo cache as finished
-// cells, deduplicating repeated keys with last-write-wins: a kill → resume →
-// kill → resume cycle (or an explicit Retry) re-appends keys the file already
-// holds, and the newest record is the authoritative one. The restored count
-// is unique keys, not lines. A record whose key no request asks for — another
-// program, config, geometry or model — is loaded but never served.
+// cells, deduplicating repeated keys with last-write-wins: a run that opens
+// the file without resuming re-simulates and re-appends keys the file
+// already holds, and the newest record is the authoritative one. The
+// restored count is unique keys, not lines. A record whose key no
+// request asks for — another program, config, geometry or model — is loaded
+// but never served.
 func (w *Workloads) loadCheckpoint(data []byte) (int, error) {
 	restored := 0
 	err := jsonl.Each(data, func(rec ckptRecord) error {

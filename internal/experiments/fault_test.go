@@ -186,29 +186,6 @@ func TestDeterministicFaultsStayMemoized(t *testing.T) {
 	}
 }
 
-// TestRetryReruns: Retry evicts a finished cell — success or deterministic
-// failure — and executes the point again.
-func TestRetryReruns(t *testing.T) {
-	w := testSuite(t)
-	b := w.Benches[0]
-	cfg := uarch.BraidConfig(8)
-	ws := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
-	v1, err := ws.IPC(b, true, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ws.Retry(Point{b, true, cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v2 {
-		t.Errorf("deterministic simulator: retry IPC %v != first %v", v2, v1)
-	}
-	if runs := ws.SimRuns(); runs != 2 {
-		t.Errorf("Retry did not rerun: %d simulations", runs)
-	}
-}
-
 // TestCancellationAbortsBatch: whole-suite cancellation is NOT contained —
 // IPCAll reports it so the caller can stop cleanly (and resume later).
 func TestCancellationAbortsBatch(t *testing.T) {
@@ -357,15 +334,14 @@ func TestFaultyPointsNotCheckpointed(t *testing.T) {
 	}
 }
 
-// TestCheckpointDoubleResumeLastWins: a kill → resume → kill → resume cycle
-// appends keys the checkpoint already holds (here forced with Retry, which
-// re-executes a restored point). Reload must deduplicate repeated keys with
+// TestCheckpointDoubleResumeLastWins: a second run opened on the same
+// checkpoint without resuming re-simulates its points and appends keys the
+// file already holds. Reload must deduplicate repeated keys with
 // last-write-wins, counting unique keys — not lines — as restored.
 func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	cfg := uarch.BraidConfig(8)
-	pt := Point{b, true, cfg}
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
 
 	first := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
@@ -380,14 +356,17 @@ func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second process: resume, then re-execute the same point so the file
+	// Second process, not resuming: the point simulates again and the file
 	// gains a duplicate line for the key.
 	second := &Workloads{Benches: w.Benches, memo: map[string]*memoCell{}, jobs: 1}
-	if restored, err := second.OpenCheckpoint(ckpt, true); err != nil || restored != 1 {
-		t.Fatalf("first resume: restored=%d err=%v, want 1, nil", restored, err)
+	if restored, err := second.OpenCheckpoint(ckpt, false); err != nil || restored != 0 {
+		t.Fatalf("fresh open: restored=%d err=%v, want 0, nil", restored, err)
 	}
-	if _, err := second.Retry(pt); err != nil {
+	if _, err := second.IPC(b, true, cfg); err != nil {
 		t.Fatal(err)
+	}
+	if runs := second.SimRuns(); runs != 1 {
+		t.Fatalf("fresh open ran %d simulations, want 1", runs)
 	}
 	if err := second.CloseCheckpoint(); err != nil {
 		t.Fatal(err)

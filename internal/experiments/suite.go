@@ -45,8 +45,8 @@ type Bench struct {
 // under the suite context (SetContext) with an optional per-simulation
 // deadline (SetTimeout), engine panics surface as contained *uarch.SimFault
 // errors with a crash artifact (SetCrashDir), transient failures are not
-// memoized (Retry reruns a point), and completed points can be persisted to
-// an append-only checkpoint (OpenCheckpoint) and reloaded across processes.
+// memoized, and completed points can be persisted to an append-only
+// checkpoint (OpenCheckpoint) and reloaded across processes.
 type Workloads struct {
 	Benches []*Bench
 
@@ -69,7 +69,6 @@ type Workloads struct {
 	failed []PointFailure
 
 	simRuns     atomic.Uint64 // simulations actually executed (not memo hits)
-	simCycles   atomic.Uint64 // machine cycles across executed simulations
 	simInstrs   atomic.Uint64 // retired instructions across executed simulations
 	simDetailed atomic.Uint64 // ... of which ran on the detailed engine
 	simFFwd     atomic.Uint64 // ... of which were functionally fast-forwarded
@@ -193,10 +192,6 @@ func (w *Workloads) SimRuns() uint64 { return w.simRuns.Load() }
 // that actually ran; together with wall-clock time it yields simulator
 // throughput (instructions per second).
 func (w *Workloads) SimInstrs() uint64 { return w.simInstrs.Load() }
-
-// SimCycles reports the total machine cycles across the simulations that
-// actually ran.
-func (w *Workloads) SimCycles() uint64 { return w.simCycles.Load() }
 
 // SimDetailedInstrs reports how many of SimInstrs ran on the detailed
 // cycle-level engine; for exact runs that is all of them.
@@ -415,7 +410,6 @@ func (w *Workloads) runPoint(key string, c *memoCell, b *Bench, braided bool, cf
 	} else {
 		c.ipc = st.IPC()
 		w.simInstrs.Add(st.Retired)
-		w.simCycles.Add(st.Cycles)
 		if est != nil && !est.Exact {
 			c.ci = est.IPCRelCI
 			w.simDetailed.Add(est.DetailedInstrs)
@@ -436,26 +430,6 @@ func (w *Workloads) runPoint(key string, c *memoCell, b *Bench, braided bool, cf
 		w.mu.Unlock()
 	}
 	return c.ipc, c.ci, c.err
-}
-
-// Retry reruns one point: a finished memo cell (successful or failed) is
-// evicted first, so the simulation executes again; an in-flight cell is
-// joined instead of duplicated.
-func (w *Workloads) Retry(pt Point) (float64, error) {
-	key, err := w.pointKey(pt.Bench, pt.Braided, &pt.Cfg)
-	if err != nil {
-		return 0, err
-	}
-	w.mu.Lock()
-	if c, ok := w.memo[key]; ok {
-		select {
-		case <-c.done:
-			delete(w.memo, key)
-		default:
-		}
-	}
-	w.mu.Unlock()
-	return w.IPC(pt.Bench, pt.Braided, pt.Cfg)
 }
 
 // IPCAll simulates every point through the bounded worker pool and returns

@@ -1,6 +1,6 @@
-// Package jsonl reads the append-only JSON-lines checkpoints of braidbench,
-// braidtune and braidstat. Their writers append one record per Write call,
-// so a crash can tear at most the final line.
+// Package jsonl reads the append-only JSON-lines point checkpoint that
+// braidbench and braidtune share (internal/experiments). Its writer appends
+// one record per Write call, so a crash can tear at most the final line.
 package jsonl
 
 import (

@@ -350,16 +350,6 @@ func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 	return down, nil
 }
 
-// Simulate runs one point remotely and exactly: the returned Stats and error
-// taxonomy match uarch.SimulateChecked on a live fleet.
-func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config) (*uarch.Stats, error) {
-	r, err := p.SimulateFull(ctx, prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Stats, nil
-}
-
 // SimulateSampled runs one point remotely with interval-sampled timing (or
 // exact timing under a disabled Sampling), satisfying experiments.Runner:
 // memoization, Failures() accounting, and checkpointing behave identically
@@ -374,8 +364,10 @@ func (p *Pool) SimulateSampled(ctx context.Context, prog *isa.Program, cfg uarch
 	return r.Stats, r.Estimate, nil
 }
 
-// SimulateFull is Simulate with provenance: which backend answered, how many
-// attempts it took, and whether the result was hedged or verified.
+// SimulateFull runs one point remotely and exactly, returning its Stats (and
+// error taxonomy, matching uarch.SimulateChecked on a live fleet) with
+// provenance: which backend answered, how many attempts it took, and whether
+// the result was hedged or verified.
 func (p *Pool) SimulateFull(ctx context.Context, prog *isa.Program, cfg uarch.Config) (*Result, error) {
 	return p.run(ctx, prog, cfg, uarch.Sampling{})
 }

@@ -127,7 +127,7 @@ func TestRoutingStickiness(t *testing.T) {
 	}
 	p, cfg := mustKernel(t, "dot"), uarch.OutOfOrderConfig(8)
 	for i := 0; i < 10; i++ {
-		if _, err := pool.Simulate(context.Background(), p, cfg); err != nil {
+		if _, err := pool.SimulateFull(context.Background(), p, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,23 +205,37 @@ func TestFailoverAroundDeadBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run several distinct points so some are owned by the dead backend.
-	for _, k := range []string{"dot", "matmul", "fig2"} {
-		for w := 2; w <= 8; w *= 2 {
-			if _, err := pool.Simulate(context.Background(), mustKernel(t, k), uarch.OutOfOrderConfig(w)); err != nil {
+	// Run distinct points until at least nine have run and one of them is
+	// owned by the dead backend. Which points it owns depends on its port.
+	n, deadOwned := 0, 0
+	for w := 2; n < 9 || deadOwned == 0; w++ {
+		if w > 64 {
+			t.Fatal("no point owned by the dead backend")
+		}
+		for _, k := range []string{"dot", "matmul", "fig2"} {
+			p, cfg := mustKernel(t, k), uarch.OutOfOrderConfig(w)
+			_, key, err := encodeRequest(p, cfg, 0, uarch.Sampling{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pool.ring.candidates(key)[0] == 0 {
+				deadOwned++
+			}
+			if _, err := pool.SimulateFull(context.Background(), p, cfg); err != nil {
 				t.Fatalf("%s/%d: %v", k, w, err)
 			}
+			n++
 		}
 	}
 	s := pool.Snapshot()
 	if s.Failovers == 0 {
-		t.Error("no failovers recorded; every point landed on the live backend by luck?")
+		t.Errorf("no failovers recorded for %d points owned by the dead backend", deadOwned)
 	}
 	if s.PerBackend[pool.Backends()[0]] != 0 {
 		t.Error("dead backend recorded successful responses")
 	}
-	if s.PerBackend[pool.Backends()[1]] != 9 {
-		t.Errorf("live backend served %d of 9 points", s.PerBackend[pool.Backends()[1]])
+	if got := s.PerBackend[pool.Backends()[1]]; got != uint64(n) {
+		t.Errorf("live backend served %d of %d points", got, n)
 	}
 }
 
@@ -258,7 +272,7 @@ func TestTerminalErrorsTranslate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+		_, err = pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 		if err == nil || !tc.check(err) {
 			t.Errorf("%s: got %v, want %s", tc.kind, err, tc.want)
 		}
@@ -284,7 +298,7 @@ func TestAllBackendsDownIsTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+	_, err = pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	var u *Unavailable
 	if !errors.As(err, &u) {
 		t.Fatalf("got %v, want *Unavailable", err)
@@ -423,7 +437,7 @@ func TestVerifyDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+	_, err = pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("got %v, want *VerifyError", err)

@@ -278,7 +278,7 @@ func TestFallbackFailStaysTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+	_, err = pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	if err == nil {
 		t.Fatal("a dead fleet with fallback=fail must error")
 	}

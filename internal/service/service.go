@@ -149,8 +149,8 @@ type SimResponse struct {
 
 // ComplexityBlock carries the hardware-cost estimate for the simulated
 // configuration (the §5.1 proxies of uarch.EstimateComplexity), so fleet
-// clients — braidstat's -complexity column, braidtune's Pareto search — can
-// rank configurations without re-deriving the model client-side.
+// clients can rank configurations without re-deriving the model
+// client-side.
 type ComplexityBlock struct {
 	uarch.Complexity
 	Total float64 `json:"total"`
