@@ -164,15 +164,14 @@ type Stats struct {
 
 // Result is one successfully simulated point with its provenance.
 type Result struct {
-	Stats      *uarch.Stats
-	Estimate   *uarch.SampleEstimate // sampled runs only; nil for exact
-	Complexity float64               // server's hardware-cost total (0: backend predates the field)
-	RawStats   []byte                // the exact Stats JSON bytes the backend served
-	Source     string                // run, cache, or coalesced (server-side provenance)
-	Backend    string                // base URL that answered
-	Attempts   int                   // HTTP attempts spent (1 = first try)
-	Hedged     bool                  // answered by a hedge request
-	Verified   bool                  // cross-checked against local simulation
+	Stats    *uarch.Stats
+	Estimate *uarch.SampleEstimate // sampled runs only; nil for exact
+	RawStats []byte                // the exact Stats JSON bytes the backend served
+	Source   string                // run, cache, or coalesced (server-side provenance)
+	Backend  string                // base URL that answered
+	Attempts int                   // HTTP attempts spent (1 = first try)
+	Hedged   bool                  // answered by a hedge request
+	Verified bool                  // cross-checked against local simulation
 }
 
 // NewPool validates o and builds a routing pool without touching the
@@ -647,8 +646,7 @@ func (p *Pool) runLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stats: st, Estimate: est, RawStats: raw, Source: "local",
-		Complexity: uarch.EstimateComplexity(cfg).Total()}, nil
+	return &Result{Stats: st, Estimate: est, RawStats: raw, Source: "local"}, nil
 }
 
 // sleepBackoff waits out the exponential backoff (with ±50% jitter) or the
@@ -723,9 +721,6 @@ func (p *Pool) call(ctx context.Context, backend string, body []byte) (*Result, 
 			Sampling *struct {
 				Estimate *uarch.SampleEstimate `json:"estimate"`
 			} `json:"sampling"`
-			Complexity *struct {
-				Total float64 `json:"total"`
-			} `json:"complexity"`
 		}
 		if err := json.Unmarshal(data, &sr); err != nil || len(sr.Stats) == 0 {
 			return nil, 0, &retryableError{err: fmt.Errorf("%s: malformed response: %v", backend, err)}
@@ -752,9 +747,6 @@ func (p *Pool) call(ctx context.Context, backend string, body []byte) (*Result, 
 		res := &Result{Stats: st, RawStats: raw, Source: sr.Source, Backend: backend}
 		if sr.Sampling != nil {
 			res.Estimate = sr.Sampling.Estimate
-		}
-		if sr.Complexity != nil {
-			res.Complexity = sr.Complexity.Total
 		}
 		return res, 0, nil
 	}

@@ -108,6 +108,9 @@ func New(cfg Config) *Server {
 	s.met.m.Set("workers_busy", expvar.Func(func() any { return s.adm.busy() }))
 	s.met.m.Set("cache_entries", expvar.Func(func() any { return s.cache.len() }))
 	s.met.m.Set("draining", expvar.Func(func() any { return s.draining.Load() }))
+	// The replay table is process-wide: every Server in the process reports it.
+	s.met.m.Set("replay_entries", expvar.Func(func() any { n, _ := uarch.SharedReplay(); return n }))
+	s.met.m.Set("replay_bytes", expvar.Func(func() any { _, b := uarch.SharedReplay(); return b }))
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
@@ -306,7 +309,9 @@ func isCancellation(err error) bool {
 }
 
 // lead is the flight leader's path: pass admission, take a worker slot, and
-// simulate under the request's wall-clock deadline.
+// simulate under the request's wall-clock deadline. It simulates the
+// process-wide canonical program for the request's image, so requests for
+// one image share one replay trace whatever their config or Server.
 func (s *Server) lead(ctx context.Context, key string, b *Built, shed bool) (*uarch.Stats, *uarch.SampleEstimate, float64, error) {
 	if err := s.adm.admit(ctx, shed); err != nil {
 		return nil, nil, 0, err
@@ -321,8 +326,10 @@ func (s *Server) lead(ctx context.Context, key string, b *Built, shed bool) (*ua
 	}
 	simCtx, cancel := context.WithTimeout(ctx, b.Timeout)
 	defer cancel()
+	prog, release := uarch.PinProgram(b.ProgHash, b.Program)
+	defer release()
 	t0 := time.Now()
-	st, est, err := uarch.SimulateSampled(simCtx, b.Program, b.Config, b.Sampling)
+	st, est, err := uarch.SimulateSampled(simCtx, prog, b.Config, b.Sampling)
 	return st, est, float64(time.Since(t0).Nanoseconds()) / 1e6, err
 }
 

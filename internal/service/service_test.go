@@ -685,6 +685,78 @@ func TestImageRequestBitIdentical(t *testing.T) {
 	}
 }
 
+// TestReplayStateSharedAcrossBuilds: two Builds of one image decode two
+// distinct programs, yet simulating them under two configs builds one
+// replay entry with one trace, visible in /metrics' replay gauges.
+func TestReplayStateSharedAcrossBuilds(t *testing.T) {
+	gen, err := Build(&SimRequest{Workload: "vortex", Iters: 37}, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := isa.WriteImage(&img, gen.Program); err != nil {
+		t.Fatal(err)
+	}
+	image := base64.StdEncoding.EncodeToString(img.Bytes())
+	var builds []*Built
+	for _, core := range []string{"ooo", "inorder"} { // one predictor geometry
+		b, err := Build(&SimRequest{Image: image, Core: core, Width: 4}, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds = append(builds, b)
+	}
+	if builds[0].Program == builds[1].Program || builds[0].ProgHash != builds[1].ProgHash {
+		t.Fatal("want two decoded copies of one image")
+	}
+
+	svc := New(Config{Workers: 2})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	gauges := func() (entries, size float64) {
+		_, data := getURL(t, ts.URL+"/metrics")
+		var m map[string]any
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatalf("/metrics is not JSON: %v", err)
+		}
+		entries, _ = m["replay_entries"].(float64)
+		size, _ = m["replay_bytes"].(float64)
+		return entries, size
+	}
+	e0, b0 := gauges()
+	var sizes []float64
+	for _, b := range builds {
+		res, err := svc.runSim(context.Background(), b, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := uarch.Simulate(b.Program, b.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := mustJSON(t, direct), mustJSON(t, res.st); !bytes.Equal(want, got) {
+			t.Errorf("%s: served Stats differ from a direct run:\n served: %s\n direct: %s", b.Config.Core, got, want)
+		}
+		e, by := gauges()
+		if e != e0+1 {
+			t.Errorf("%s: replay_entries %v, want %v: one entry per image", b.Config.Core, e, e0+1)
+		}
+		sizes = append(sizes, by-b0)
+	}
+	if sizes[0] <= 0 || sizes[1] != sizes[0] {
+		t.Errorf("replay_bytes grew by %v then %v: want one trace build, shared by the second config", sizes[0], sizes[1]-sizes[0])
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestWaitingNeverNegative pins the /metrics queue-depth clamp: the two
 // channel reads race, so the raw difference can go negative mid-request;
 // the reported value must not.

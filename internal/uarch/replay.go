@@ -1,7 +1,10 @@
 package uarch
 
 import (
+	"container/list"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"braid/internal/bpred"
 	"braid/internal/interp"
@@ -68,6 +71,8 @@ type replayEntry struct {
 
 	mu       sync.Mutex
 	outcomes map[predKey]*outcomeBits
+
+	size atomic.Int64 // replay bytes of the parts built so far
 }
 
 // outcomeBits is the mispredict bitmap of one predictor geometry over the
@@ -99,10 +104,98 @@ func replayOf(p *isa.Program) *replayEntry {
 	return e
 }
 
+// Content-keyed sharing, for braidd. A server decodes a fresh *isa.Program
+// for every request, so pointer keys alone would rebuild the replay state of
+// every miss and never free it. sharedProgs maps an image hash to one
+// canonical program whose replayCache slot every request for that image
+// replays, and evicts idle programs LRU once their replay bytes pass
+// replayBudget. In-process callers never hash: their programs keep plain
+// pointer-keyed entries.
+
+// replayBudgetBytes bounds the replay bytes sharedProgs keeps; DESIGN.md §5
+// explains the size.
+const replayBudgetBytes = 64 << 20
+
+var replayBudget int64 = replayBudgetBytes // a variable only so tests can force eviction
+
+// sharedProg is one resident image in sharedProgs.
+type sharedProg struct {
+	hash    string
+	prog    *isa.Program
+	rp      *replayEntry
+	pins    int           // simulations running on prog
+	counted int64         // rp's size as last added to sharedProgs.bytes
+	idle    *list.Element // position in sharedProgs.lru while pins == 0
+}
+
+var sharedProgs struct {
+	sync.Mutex
+	m     map[string]*sharedProg
+	lru   list.List // idle programs, most recently released first
+	bytes int64
+}
+
+// PinProgram returns the canonical program for the image hash h (the
+// program half of PointKey) and pins its replay state until release is
+// called, exactly once. p must be a program whose image hashes to h; it
+// becomes the canonical program when h is not resident. Every simulation of
+// the returned program, under any configuration, replays one trace, one
+// static-meta table and one bitmap per predictor geometry. A pinned program
+// is never evicted.
+func PinProgram(h string, p *isa.Program) (canon *isa.Program, release func()) {
+	sharedProgs.Lock()
+	defer sharedProgs.Unlock()
+	s := sharedProgs.m[h]
+	if s == nil {
+		if sharedProgs.m == nil {
+			sharedProgs.m = make(map[string]*sharedProg)
+		}
+		s = &sharedProg{hash: h, prog: p, rp: replayOf(p)}
+		sharedProgs.m[h] = s
+	} else if s.idle != nil {
+		sharedProgs.lru.Remove(s.idle)
+		s.idle = nil
+	}
+	s.pins++
+	return s.prog, s.unpin
+}
+
+// unpin counts what the finished simulation built into the table's bytes,
+// then evicts idle programs, least recently used first, down to the budget.
+func (s *sharedProg) unpin() {
+	sharedProgs.Lock()
+	defer sharedProgs.Unlock()
+	n := s.rp.size.Load()
+	sharedProgs.bytes += n - s.counted
+	s.counted = n
+	if s.pins--; s.pins == 0 {
+		s.idle = sharedProgs.lru.PushFront(s)
+	}
+	for sharedProgs.bytes > replayBudget && sharedProgs.lru.Len() > 0 {
+		v := sharedProgs.lru.Remove(sharedProgs.lru.Back()).(*sharedProg)
+		delete(sharedProgs.m, v.hash)
+		sharedProgs.bytes -= v.counted
+		replayCache.Lock()
+		delete(replayCache.m, v.prog)
+		replayCache.Unlock()
+	}
+}
+
+// SharedReplay reports the programs resident in the content-keyed table
+// and their replay bytes: braidd's replay_entries and replay_bytes gauges.
+func SharedReplay() (entries int, bytes int64) {
+	sharedProgs.Lock()
+	defer sharedProgs.Unlock()
+	return len(sharedProgs.m), sharedProgs.bytes
+}
+
 // staticMeta returns the program's precomputed static metadata (shared by
 // every Machine simulating it).
 func (e *replayEntry) staticMeta() []staticMeta {
-	e.metaOnce.Do(func() { e.meta = programMeta(e.prog) })
+	e.metaOnce.Do(func() {
+		e.meta = programMeta(e.prog)
+		e.size.Add(int64(len(e.meta)) * int64(unsafe.Sizeof(staticMeta{})))
+	})
 	return e.meta
 }
 
@@ -112,7 +205,10 @@ func (e *replayEntry) staticMeta() []staticMeta {
 // trace instead of re-executing the interpreter. Nil if the program does
 // not halt within traceCap steps.
 func (e *replayEntry) dynTrace() []traceEntry {
-	e.traceOnce.Do(func() { e.trace = programTrace(e.prog) })
+	e.traceOnce.Do(func() {
+		e.trace = programTrace(e.prog)
+		e.size.Add(int64(len(e.trace)) * int64(unsafe.Sizeof(traceEntry{})))
+	})
 	return e.trace
 }
 
@@ -139,7 +235,10 @@ func (e *replayEntry) mispredicts(cfg *Config) []uint64 {
 		e.outcomes[k] = ob
 	}
 	e.mu.Unlock()
-	ob.once.Do(func() { ob.bits = branchOutcomes(tr, e.staticMeta(), newPredictor(cfg)) })
+	ob.once.Do(func() {
+		ob.bits = branchOutcomes(tr, e.staticMeta(), newPredictor(cfg))
+		e.size.Add(int64(len(ob.bits)) * 8)
+	})
 	return ob.bits
 }
 
